@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz sim verify bench
+.PHONY: build test vet race fuzz sim perfbench-test verify bench
 
 build:
 	$(GO) build ./...
@@ -39,8 +39,13 @@ fuzz:
 sim:
 	$(GO) test -race -short -run 'TestSimShort|TestMultipart|TestEgress' ./internal/sim/
 
+# The benchmark of record is a module of its own (perfbench/go.mod),
+# so the root `go test ./...` skips its self-test.
+perfbench-test:
+	cd perfbench && $(GO) test .
+
 # The tier-1 verification gate (see ROADMAP.md).
-verify: build test vet race fuzz
+verify: build test vet race fuzz perfbench-test
 
 # Engine benchmarks plus the E19 egress-overhead sweep: the E12
 # single-post and E16 batch hot paths rerun with the durable firing

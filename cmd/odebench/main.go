@@ -43,7 +43,7 @@
 //	    all three as JSON (e.g. BENCH_PR8.json)
 //	E18 timer storm: an IoT fleet arming one canonical `every`
 //	    heartbeat per object, swept whole periods at a time — cohort
-//	    delivery (timing wheel + columnar stepBatch, one system
+//	    delivery (timing wheel + one stepping loop, one system
 //	    transaction per class and tick) vs the per-object baseline
 //	    (one clock timer and one transaction per object per tick),
 //	    single-engine and partitioned; -out also reruns E12, E16 and

@@ -75,11 +75,11 @@ func buildCombined(c *Class) *combinedMonitor {
 	}
 }
 
-// stepCombined advances the object's single combined state and returns
-// the triggers to fire. Called from step() in place of the per-trigger
-// loop.
+// stepCombined advances the object's single combined state and
+// appends the triggers to fire to tx.fired. Called from step in place
+// of the per-trigger walk.
 func (tx *Tx) stepCombined(c *Class, cm *combinedMonitor, kindIx int,
-	h event.Happening, oid store.OID, rec *store.Record) ([]firedTrigger, error) {
+	h *event.Happening, oid store.OID, rec *store.Record) error {
 	// The shared history exists only once some trigger is active. The
 	// caller (step) has already bound the record's dense slots; order
 	// follows Class.Triggers, so slot j belongs to order[j].
@@ -91,17 +91,26 @@ func (tx *Tx) stepCombined(c *Class, cm *combinedMonitor, kindIx int,
 		}
 	}
 	if !anyActive {
-		return nil, nil
+		return nil
 	}
 	// Committed view only: abort events are invisible (§6).
 	if h.Kind.Class == event.KTabort {
-		return nil, nil
+		return nil
 	}
-	bits, err := tx.evalBitsMask(c, cm.progs[kindIx], cm.used[kindIx], kindIx, h, nil, nil, oid, rec, nil)
+	if tx.narrowStep {
+		// Narrow stepping covers per-trigger activation scalars only;
+		// the shared word may be created below, so take the full
+		// before-image first.
+		if err := tx.promote(oid); err != nil {
+			return err
+		}
+	}
+	used := cm.used[kindIx]
+	bits, err := tx.evalMask(c, cm.progs[kindIx], used, kindIx, h, nil, nil, oid, rec, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if used := cm.used[kindIx]; used != 0 {
+	if used != 0 {
 		tx.e.traceMask(tx.tx.ID(), oid, c.Schema.Name, combinedSlot, used, bits)
 	}
 	sym := c.Res.Alphabet.Symbol(kindIx, bits)
@@ -114,10 +123,9 @@ func (tx *Tx) stepCombined(c *Class, cm *combinedMonitor, kindIx int,
 	prev := slot.State
 	next, fireMask := cm.comb.Post(prev, sym)
 	slot.State = next
-	tx.e.stats.steps.Add(1)
+	tx.counts.steps++
 	tx.e.traceStep(tx.tx.ID(), oid, c.Schema.Name, combinedSlot, prev, next, fireMask != 0)
 
-	var fired []firedTrigger
 	for j := range cm.order {
 		if fireMask&(1<<uint(j)) == 0 {
 			continue
@@ -126,7 +134,7 @@ func (tx *Tx) stepCombined(c *Class, cm *combinedMonitor, kindIx int,
 		if act == nil || !act.Active {
 			continue // suppressed: deactivated triggers do not fire
 		}
-		fired = append(fired, firedTrigger{c.Triggers[j], act})
+		tx.fired = append(tx.fired, firedTrigger{c.Triggers[j], act})
 	}
-	return fired, nil
+	return nil
 }

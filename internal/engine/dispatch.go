@@ -160,7 +160,7 @@ func (r *maskSlotResolver) eventParamIx(name string) int {
 
 // progHost serves the residual dynamic operations of compiled mask
 // programs. One lives on the Tx and is reused by address so the
-// Host interface conversion never allocates; evalBitsMask saves and
+// Host interface conversion never allocates; evalMask saves and
 // restores it by value around each evaluation, which keeps nested
 // evaluations (a mask calling a read method whose posting evaluates
 // further masks) correct.

@@ -255,9 +255,11 @@ type Class struct {
 	met      *obs.ClassMetrics // per-class counters, cached at registration
 	// nameID and kindIDs are the interned flight-recorder IDs of the
 	// class name and of each alphabet kind (indexed by kindIx), computed
-	// at registration so hot-path records never touch a string.
-	nameID  uint16
-	kindIDs []uint16
+	// at registration so hot-path records never touch a string;
+	// kindNames holds the kinds' rendered names for firing records.
+	nameID    uint16
+	kindIDs   []uint16
+	kindNames []string
 	// dispatch[kindIx] lists the triggers a happening of that kind can
 	// affect, with their compiled mask programs (see dispatch.go).
 	dispatch [][]dispatchEntry
@@ -445,8 +447,10 @@ func (e *Engine) RegisterClass(cls *schema.Class, impl ClassImpl, ps *evlang.Par
 	c := &Class{Schema: cls, Res: res, Impl: impl, byName: map[string]*Trigger{}, parser: ps,
 		met: e.metrics.Class(cls.Name), nameID: e.names.Intern(cls.Name)}
 	c.kindIDs = make([]uint16, len(res.Alphabet.Kinds))
+	c.kindNames = make([]string, len(res.Alphabet.Kinds))
 	for kix := range res.Alphabet.Kinds {
-		c.kindIDs[kix] = e.names.Intern(res.Alphabet.Kinds[kix].Kind.String())
+		c.kindNames[kix] = res.Alphabet.Kinds[kix].Kind.String()
+		c.kindIDs[kix] = e.names.Intern(c.kindNames[kix])
 	}
 	for _, tr := range res.Triggers {
 		view := schema.CommittedView

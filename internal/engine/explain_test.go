@@ -119,7 +119,7 @@ func TestExplainSequenceAgainstOracle(t *testing.T) {
 		event.MethodKind(event.After, "withdraw"),
 	} {
 		h := event.Happening{Kind: kind, TxID: tx.ID(), At: e.clk.Now()}
-		if _, err := tx.step(oid, r, h, ""); err != nil {
+		if _, err := tx.post(oid, r, h, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

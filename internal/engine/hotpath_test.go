@@ -40,7 +40,7 @@ func TestHotPathAllocBudget(t *testing.T) {
 		At:     e.clk.Now(),
 	}
 	avg := testing.AllocsPerRun(500, func() {
-		fired, err := tx.step(oid, r, h, "")
+		fired, err := tx.post(oid, r, h, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestHotPathAllocBudgetProvenance(t *testing.T) {
 	wd.Kind = event.MethodKind(event.After, "withdraw")
 	avg := testing.AllocsPerRun(500, func() {
 		for _, h := range [2]event.Happening{dep, wd} {
-			fired, err := tx.step(oid, r, h, "")
+			fired, err := tx.post(oid, r, h, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -65,18 +65,40 @@ type firedTrigger struct {
 	act *store.TrigActivation
 }
 
-// step posts one happening to one object: it maps the happening to
-// each active trigger instance's alphabet symbol, advances the
-// instance's single integer of state, collects every trigger whose
-// automaton now accepts, and then fires them (deactivating ordinary
-// triggers first — "an ordinary trigger is automatically deactivated
-// the moment it fires", §2). Actions execute inside this transaction,
-// immediately (§5); onlyTrigger restricts delivery (used by per-
-// trigger 'after' timers).
-//
-// It reports whether any trigger fired — the commit fixpoint's
-// quiescence signal.
-func (tx *Tx) step(oid store.OID, rec *store.Record, h event.Happening, onlyTrigger string) (bool, error) {
+// postCounts accumulates the engine-wide statistics of the postings
+// since the last flushCounts in plain integers, so parallel posters do
+// not contend on the shared atomic counters once per automaton step.
+type postCounts struct {
+	happenings, steps, maskEvals, provSteps uint64
+}
+
+// flushCounts publishes the accumulated engine-wide statistics, one
+// atomic add per non-zero counter. Callers flush once per single post,
+// batch or timer tick.
+func (tx *Tx) flushCounts() {
+	n, s := &tx.counts, &tx.e.stats
+	if n.happenings != 0 {
+		s.happenings.Add(n.happenings)
+	}
+	if n.steps != 0 {
+		s.steps.Add(n.steps)
+	}
+	if n.maskEvals != 0 {
+		s.maskEvals.Add(n.maskEvals)
+	}
+	if n.provSteps != 0 {
+		s.provSteps.Add(n.provSteps)
+	}
+	*n = postCounts{}
+}
+
+// post delivers one happening to one object: it resolves the kind,
+// stamps the happening into the flight recorder, steps it, and flushes
+// the counters. Every posting path except PostBatch and cohort timer
+// delivery (which resolve kinds once and summarize per batch or tick)
+// comes through here. only, when non-nil, restricts delivery to one
+// trigger ('after' one-shots).
+func (tx *Tx) post(oid store.OID, rec *store.Record, h event.Happening, only *Trigger) (bool, error) {
 	c, err := tx.e.classOf(rec)
 	if err != nil {
 		return false, err
@@ -85,58 +107,73 @@ func (tx *Tx) step(oid store.OID, rec *store.Record, h event.Happening, onlyTrig
 	if kindIx < 0 {
 		return false, fmt.Errorf("engine: class %s cannot experience %s", rec.Class, h.Kind)
 	}
-	tx.e.recordHappening(oid, h)
-	tx.e.stats.happenings.Add(1)
 	c.met.Happening()
 	tx.e.flightHappening(h.At.UnixNano(), tx.tx.ID(), oid, c.nameID, c.kindIDs[kindIx])
-	tx.e.traceHappening(tx.tx.ID(), oid, rec.Class, h.Kind)
+	fired, err := tx.step(c, kindIx, oid, rec, &h, only)
+	tx.flushCounts()
+	return fired, err
+}
+
+// step is the engine's one stepping loop, §5's procedure for one
+// posted happening of kind index kindIx on one object: it maps the
+// happening to each active trigger instance's alphabet symbol, advances
+// the instance's single integer of state, collects every trigger whose
+// automaton now accepts, and then fires them (deactivating ordinary
+// triggers first — "an ordinary trigger is automatically deactivated
+// the moment it fires", §2). Actions execute inside this transaction,
+// immediately (§5). A class under footnote-5 combined monitoring takes
+// one combined transition instead of the per-trigger walk. only, when
+// non-nil, restricts delivery to that trigger.
+//
+// The caller resolves the kind and records the happening's flight
+// entry and class count (one stamp per single post, one StageBatch
+// summary per batch or tick); engine-wide counts accumulate in
+// tx.counts until the caller flushes them. step reports whether any
+// trigger fired — the commit fixpoint's quiescence signal.
+func (tx *Tx) step(c *Class, kindIx int, oid store.OID, rec *store.Record, h *event.Happening, only *Trigger) (bool, error) {
+	txid := tx.tx.ID()
+	tx.e.recordHappening(oid, *h)
+	tx.counts.happenings++
+	tx.e.traceHappening(txid, oid, c.Schema.Name, h.Kind)
 
 	// Dense trigger slots: bind the record's slot table lazily (fresh
 	// objects and recovered records arrive unbound). We hold the
 	// object's transaction lock here.
 	c.ensureSlots(rec)
 
-	if cm := c.monitor; cm != nil {
-		// Footnote-5 combined monitoring: one transition for all
-		// triggers (eligibility rules in combined.go guarantee
-		// onlyTrigger never applies here).
-		fired, err := tx.stepCombined(c, cm, kindIx, h, oid, rec)
-		if err != nil {
-			return false, err
-		}
-		if err := tx.fire(oid, c, h, fired); err != nil {
-			return true, err
-		}
-		return len(fired) > 0, nil
-	}
-
 	// Fired triggers accumulate in the Tx's scratch arena with stack
 	// discipline: this call appends from base and truncates back on
 	// every return, so nested postings (from mask-called read methods
 	// or fired actions) stack above us without allocating.
 	base := len(tx.fired)
-	for i := range c.dispatch[kindIx] {
-		// The dispatch table has already folded in kind relevance
-		// (irrelevant kinds cannot change the instance's behavior; see
-		// compile.InertSymbol — disabled under the shadow oracle, which
-		// needs complete symbol histories) and the committed-view rule
-		// that aborted histories are invisible (§6).
-		d := &c.dispatch[kindIx][i]
+	var err error
+	// The dispatch table has already folded in kind relevance
+	// (irrelevant kinds cannot change the instance's behavior; see
+	// compile.InertSymbol — disabled under the shadow oracle, which
+	// needs complete symbol histories) and the committed-view rule that
+	// aborted histories are invisible (§6).
+	entries := c.dispatch[kindIx]
+	if cm := c.monitor; cm != nil {
+		err = tx.stepCombined(c, cm, kindIx, h, oid, rec)
+		entries = nil
+	}
+	for i := range entries {
+		d := &entries[i]
 		t := d.t
-		if onlyTrigger != "" && t.Res.Name != onlyTrigger {
+		if only != nil && t != only {
 			continue
 		}
 		act := rec.Slot(t.slot)
 		if act == nil || !act.Active {
 			continue
 		}
-		bits, err := tx.evalBits(c, d, kindIx, h, act, oid, rec)
-		if err != nil {
-			tx.fired = tx.fired[:base]
-			return false, fmt.Errorf("engine: trigger %s mask: %w", t.Res.Name, err)
-		}
+		var bits uint32
 		if d.used != 0 {
-			tx.e.traceMask(tx.tx.ID(), oid, rec.Class, t.Res.Name, d.used, bits)
+			if bits, err = tx.evalMask(c, d.progs, d.used, kindIx, h, act.Params, trigDense(t, act), oid, rec, t.met); err != nil {
+				err = fmt.Errorf("engine: trigger %s mask: %w", t.Res.Name, err)
+				break
+			}
+			tx.e.traceMask(txid, oid, c.Schema.Name, t.Res.Name, d.used, bits)
 		}
 		sym := c.Res.Alphabet.Symbol(kindIx, bits)
 
@@ -160,13 +197,26 @@ func (tx *Tx) step(oid store.OID, rec *store.Record, h event.Happening, onlyTrig
 			tx.e.wholeMu.Unlock()
 		} else {
 			prev = act.State
-			next = t.Auto.Next(act.State, sym)
-			act.State = next
-			if tx.e.shadowOracle {
-				act.Shadow = append(act.Shadow, sym)
+			next = t.Auto.Next(prev, sym)
+			if next != prev || tx.e.shadowOracle {
+				// Narrow stepping (cohort timer delivery) peeks records
+				// instead of accessing them: register the narrow before-
+				// image at the first in-place mutation (idempotent after
+				// that). Self-looping instances skip this entirely — the
+				// record is bit-identical after the step, so it needs no
+				// undo, no WAL record, and no epoch republication.
+				if tx.narrowStep {
+					if _, _, err = tx.tx.AccessNarrow(oid); err != nil {
+						break
+					}
+				}
+				act.State = next
+				if tx.e.shadowOracle {
+					act.Shadow = append(act.Shadow, sym)
+				}
 			}
 		}
-		tx.e.stats.steps.Add(1)
+		tx.counts.steps++
 		t.met.Step()
 		accepted := t.Auto.Accept(next)
 		// Firing provenance: non-accepting self-loops (the masked
@@ -177,18 +227,17 @@ func (tx *Tx) step(oid store.OID, rec *store.Record, h event.Happening, onlyTrig
 		if next != prev || accepted {
 			if r := tx.e.provRing(oid, t.Res.Name); r != nil {
 				r.Append(obs.ProvStep{
-					TxID: tx.tx.ID(), AtNs: h.At.UnixNano(),
+					TxID: txid, AtNs: h.At.UnixNano(),
 					KindID: c.kindIDs[kindIx], Bits: bits, Sym: sym,
 					From: prev, To: next, Accepted: accepted,
 				})
-				tx.e.stats.provSteps.Add(1)
+				tx.counts.provSteps++
 			}
 		}
-		tx.e.traceStep(tx.tx.ID(), oid, rec.Class, t.Res.Name, prev, next, accepted)
+		tx.e.traceStep(txid, oid, c.Schema.Name, t.Res.Name, prev, next, accepted)
 		if tx.e.shadowOracle {
-			if err := tx.e.shadowCheck(oid, t, act, accepted); err != nil {
-				tx.fired = tx.fired[:base]
-				return false, err
+			if err = tx.e.shadowCheck(oid, t, act, accepted); err != nil {
+				break
 			}
 		}
 		if accepted {
@@ -197,6 +246,16 @@ func (tx *Tx) step(oid store.OID, rec *store.Record, h event.Happening, onlyTrig
 	}
 
 	fired := tx.fired[base:]
+	if err == nil && len(fired) > 0 && tx.narrowStep {
+		// The narrow image covers only activation scalars, but the
+		// actions about to run may mutate anything: promote the object
+		// to a full before-image while its fields are still untouched.
+		err = tx.promote(oid)
+	}
+	if err != nil || len(fired) == 0 {
+		tx.fired = tx.fired[:base]
+		return false, err
+	}
 	// "We determine all the trigger events that have occurred, and
 	// then we fire the triggers" (§5): deactivations happen before any
 	// action runs, so an action re-activating a trigger is preserved.
@@ -206,24 +265,30 @@ func (tx *Tx) step(oid store.OID, rec *store.Record, h event.Happening, onlyTrig
 			tx.e.timers.disarm(oid, f.t)
 		}
 	}
-	err = tx.fire(oid, c, h, fired)
-	n := len(fired)
+	err = tx.fire(oid, c, kindIx, h, fired)
 	tx.fired = tx.fired[:base]
-	if err != nil {
-		return true, err
+	// Actions run arbitrary engine operations; drop the record cache
+	// rather than reason about what they touched.
+	tx.cachedRec = nil
+	return true, err
+}
+
+// promote registers a narrow-stepped object with the transaction (it
+// may be pristine — an accepting self-loop) and upgrades it to a full
+// before-image, ahead of anything but activation scalars changing.
+func (tx *Tx) promote(oid store.OID) error {
+	if _, _, err := tx.tx.AccessNarrow(oid); err != nil {
+		return err
 	}
-	return n > 0, nil
+	return tx.tx.Promote(oid)
 }
 
 // fire executes the actions of the collected triggers, recording each
 // action's wall-clock latency in the trigger's metrics (and trace,
 // when enabled). The first action error stops the run — the engine's
 // pre-existing semantics: a failing action aborts the posting.
-func (tx *Tx) fire(oid store.OID, c *Class, h event.Happening, fired []firedTrigger) error {
-	if len(fired) == 0 {
-		return nil
-	}
-	kind := h.Kind.String()
+func (tx *Tx) fire(oid store.OID, c *Class, kindIx int, h *event.Happening, fired []firedTrigger) error {
+	kind := c.kindNames[kindIx]
 	for _, f := range fired {
 		// The ActionCtx lives on the Tx and is reused across firings;
 		// save/restore by value keeps nested firings (an action whose
@@ -263,72 +328,60 @@ func (tx *Tx) fire(oid store.OID, c *Class, h event.Happening, fired []firedTrig
 	return nil
 }
 
-// evalBits evaluates the §5 disjointness masks this trigger's
-// expression depends on for the happening's kind, producing the mask
-// valuation bits of the symbol. Foreign triggers' bits are left zero —
-// this trigger's automaton provably does not distinguish them.
-func (tx *Tx) evalBits(c *Class, d *dispatchEntry, kindIx int, h event.Happening,
-	act *store.TrigActivation, oid store.OID, rec *store.Record) (uint32, error) {
-	if d.used == 0 {
-		return 0, nil
-	}
-	return tx.evalBitsMask(c, d.progs, d.used, kindIx, h, act.Params, trigDense(d.t, act), oid, rec, d.t.met)
-}
-
-// evalBitsMask evaluates exactly the mask bits in used. The compiled
-// programs run when available (progs[bit] resolved at registration) and
-// the happening carries its dense parameter slice; otherwise — under
+// evalMask evaluates exactly the mask bits in used, producing the mask
+// valuation bits of the symbol. The compiled programs run when
+// available (progs[bit] resolved at registration) and the happening
+// carries its dense parameter slice; otherwise — under
 // Options.InterpretedMasks, or for hand-built happenings with map-only
-// parameters — each bit falls back to the AST interpreter, the
-// semantic oracle. trigParams/trigDense may be nil (combined monitoring
+// parameters — the AST interpreter, the semantic oracle, evaluates
+// each bit. trigParams/trigDense may be nil (combined monitoring
 // forbids trigger parameters), as may met (combined monitoring
 // evaluates the class-wide bit union, which belongs to no single
 // trigger).
-func (tx *Tx) evalBitsMask(c *Class, progs []*mask.Program, used uint32, kindIx int, h event.Happening,
+func (tx *Tx) evalMask(c *Class, progs []*mask.Program, used uint32, kindIx int, h *event.Happening,
 	trigParams map[string]value.Value, trigDense []value.Value, oid store.OID, rec *store.Record,
 	met *obs.TriggerMetrics) (uint32, error) {
 	if used == 0 {
 		return 0, nil
 	}
-	var bits uint32
-	masks := c.Res.Alphabet.Kinds[kindIx].Masks
-	compiled := progs != nil && !tx.e.interpretMasks && len(h.Dense) == len(h.Params)
-	for bit := range masks {
-		if used&(1<<bit) == 0 {
-			continue
-		}
-		tx.e.stats.maskEvals.Add(1)
-		var ok bool
-		var err error
-		if compiled && progs[bit] != nil {
-			// The Tx's progHost is reused by address (the Host
-			// interface conversion must not allocate); save/restore by
-			// value keeps nested evaluations — a mask calling a read
-			// method whose postings evaluate further masks — correct.
-			saved := tx.penv
-			tx.penv = progHost{tx: tx, self: oid, rec: rec, cls: c}
-			ok, err = progs[bit].EvalBool(h.Dense, trigDense, &tx.penv)
-			tx.penv = saved
-		} else {
-			env := &maskEnv{
-				tx:     tx,
-				self:   oid,
-				rec:    rec,
-				cls:    c,
-				params: h.Params,
-				rename: masks[bit].Rename,
-				trig:   trigParams,
+	var bits, evals, falses uint32
+	var err error
+	if progs != nil && !tx.e.interpretMasks && len(h.Dense) == len(h.Params) {
+		// The Tx's progHost is reused by address (the Host interface
+		// conversion must not allocate); save/restore by value keeps
+		// nested evaluations — a mask calling a read method whose
+		// postings evaluate further masks — correct.
+		saved := tx.penv
+		tx.penv = progHost{tx: tx, self: oid, rec: rec, cls: c}
+		bits, evals, falses, err = mask.EvalBits(progs, used, h.Dense, trigDense, &tx.penv)
+		tx.penv = saved
+	} else {
+		masks := c.Res.Alphabet.Kinds[kindIx].Masks
+		env := &maskEnv{tx: tx, self: oid, rec: rec, cls: c, params: h.Params, trig: trigParams}
+		for bit := range masks {
+			if used&(1<<bit) == 0 {
+				continue
 			}
-			ok, err = masks[bit].Expr.EvalBool(env)
-		}
-		if err != nil {
-			return 0, err
-		}
-		met.MaskEval(ok)
-		if ok {
-			bits |= 1 << bit
+			evals++
+			env.rename = masks[bit].Rename
+			var ok bool
+			if ok, err = masks[bit].Expr.EvalBool(env); err != nil {
+				break
+			}
+			if ok {
+				bits |= 1 << bit
+			} else {
+				falses++
+			}
 		}
 	}
+	tx.counts.maskEvals += uint64(evals)
+	if err != nil {
+		// The failing evaluation reached no verdict.
+		met.MaskEvalN(uint64(evals-1), uint64(falses))
+		return 0, err
+	}
+	met.MaskEvalN(uint64(evals), uint64(falses))
 	return bits, nil
 }
 

@@ -5,23 +5,20 @@ import (
 
 	"ode/internal/event"
 	"ode/internal/mask"
-	"ode/internal/obs"
 	"ode/internal/schema"
 	"ode/internal/store"
 	"ode/internal/value"
 )
 
-// Batch posting: the one-at-a-time hot path (tx.Call → step) already
-// avoids allocation, but it still pays per-happening costs that only
-// exist because each call arrives alone — a map-backed argument bind,
-// an atomic metric update per step and per mask evaluation, a
-// per-call MethodCtx allocation, and repeated method/kind resolution.
-// PostBatch amortizes all of them: a Batch is a columnar run of method
-// calls against objects of one class, and posting it resolves each
-// distinct method once into a cached plan (bound map, dense arena row,
-// dispatch slices, kind ids), then streams the entries through a tight
-// loop that accumulates metrics in plain integers and flushes them
-// once per batch.
+// Batch posting: a single tx.Call pays costs that exist only because
+// each call arrives alone — a map-backed argument bind, a per-call
+// MethodCtx allocation, per-happening kind resolution, a flight stamp
+// and a counter flush per happening. PostBatch amortizes them: a Batch
+// is a columnar run of method calls against objects of one class, and
+// posting it resolves each distinct method once into a cached plan
+// (bound map, dense arena row, kind indices), then streams the entries
+// through the same stepping kernel as tx.Call (Tx.step), flushing the
+// engine-wide counters and one flight summary per phase once per batch.
 //
 // Semantics are exactly those of calling tx.Call for each entry in
 // order and discarding the results: identical happenings, firing
@@ -109,20 +106,50 @@ func (b *Batch) Reset() {
 }
 
 // batchPhase is the posting plan for one phase (before/after) of one
-// method: the resolved kind, its dispatch slice, and per-dispatch-entry
-// metric accumulators that flush once per batch.
+// method, or for one timer cohort's tick: the resolved kind and the
+// happenings posted since the last flush, summarized as one StageBatch
+// flight record (per-event stamping would dominate the loop; see
+// obs.StageBatch).
 type batchPhase struct {
-	kind    event.Kind
-	kindIx  int
-	kindID  uint16
-	entries []dispatchEntry // aliases the class dispatch table
-	// count is the happenings of this kind the batch posted, flushed as
-	// one StageBatch flight summary (per-event stamping would dominate
-	// the loop; see obs.StageBatch).
+	kind   event.Kind
+	kindIx int
+	// idle marks a kind no trigger of the class listens on (and no
+	// combined monitor steps).
+	idle  bool
 	count uint64
-	// Parallel to entries; flushed to each trigger's metrics and zeroed
-	// by flushBatch.
-	steps, evals, falses []uint64
+}
+
+// newPhase resolves kind against the class alphabet.
+func newPhase(c *Class, kind event.Kind) (batchPhase, error) {
+	kix := c.Res.Alphabet.KindIndex(kind)
+	if kix < 0 {
+		return batchPhase{}, fmt.Errorf("engine: class %s cannot experience %s", c.Schema.Name, kind)
+	}
+	return batchPhase{kind: kind, kindIx: kix, idle: len(c.dispatch[kix]) == 0 && c.monitor == nil}, nil
+}
+
+// postPhase posts one happening of a prepared phase. A happening no
+// trigger listens on and no observer (history book, tracer) can see
+// reduces to its counts; skipping the step saves real time on
+// before-kinds, which most triggers ignore.
+func (tx *Tx) postPhase(c *Class, ph *batchPhase, oid store.OID, rec *store.Record, h *event.Happening) (bool, error) {
+	ph.count++
+	if ph.idle && tx.e.book.Load() == nil && tx.e.traceBox.Load() == nil {
+		tx.counts.happenings++
+		return false, nil
+	}
+	return tx.step(c, ph.kindIx, oid, rec, h, nil)
+}
+
+// flushPhase publishes a phase's happenings since the last flush: the
+// class count and one StageBatch flight summary.
+func (tx *Tx) flushPhase(c *Class, ph *batchPhase, atNs int64) {
+	if ph.count == 0 {
+		return
+	}
+	c.met.HappeningN(ph.count)
+	tx.e.flightBatch(atNs, tx.tx.ID(), c.nameID, c.kindIDs[ph.kindIx], ph.count)
+	ph.count = 0
 }
 
 // batchMethod is the cached posting plan for one interned method.
@@ -132,7 +159,8 @@ type batchMethod struct {
 	impl MethodImpl
 	// bound and dense are overwritten in place per entry (all entries
 	// of a method bind the same parameter names); dense lives in the
-	// batch arena.
+	// batch arena. A firing replaces bound, because its actions may
+	// keep the map (ActionCtx.EventParams).
 	bound         map[string]value.Value
 	dense         []value.Value
 	mctx          MethodCtx
@@ -143,12 +171,6 @@ type batchMethod struct {
 	// marks errors tx.Call surfaces through propagate (aborting).
 	err     error
 	errStep bool
-}
-
-// batchCounters accumulates the engine-wide statistics one PostBatch
-// call generates, flushed with one atomic add per counter.
-type batchCounters struct {
-	happenings, steps, maskEvals, provSteps uint64
 }
 
 // buildPlan resolves every interned method against the engine/class
@@ -172,23 +194,14 @@ func (b *Batch) buildPlan(e *Engine, c *Class) {
 			bm.bound = make(map[string]value.Value, len(m.Params))
 			bm.dense = b.arena.Row(len(m.Params))
 		}
-		bm.before.kind = event.MethodKind(event.Before, name)
-		bm.after.kind = event.MethodKind(event.After, name)
-		for _, ph := range [...]*batchPhase{&bm.before, &bm.after} {
-			kix := c.Res.Alphabet.KindIndex(ph.kind)
-			if kix < 0 {
-				// Unreachable for a schema method (the alphabet carries a
-				// before/after pair per method), but keep step()'s report.
-				bm.err = fmt.Errorf("engine: class %s cannot experience %s", c.Schema.Name, ph.kind)
-				bm.errStep = true
-				break
-			}
-			ph.kindIx = kix
-			ph.kindID = c.kindIDs[kix]
-			ph.entries = c.dispatch[kix]
-			ph.steps = make([]uint64, len(ph.entries))
-			ph.evals = make([]uint64, len(ph.entries))
-			ph.falses = make([]uint64, len(ph.entries))
+		var err error
+		if bm.before, err = newPhase(c, event.MethodKind(event.Before, name)); err == nil {
+			bm.after, err = newPhase(c, event.MethodKind(event.After, name))
+		}
+		if err != nil {
+			// Unreachable for a schema method (the alphabet carries a
+			// before/after pair per method), but keep tx.Call's report.
+			bm.err, bm.errStep = err, true
 		}
 	}
 }
@@ -206,12 +219,6 @@ func (tx *Tx) PostBatch(b *Batch) error {
 	if c == nil {
 		return fmt.Errorf("engine: unregistered class %q", b.class)
 	}
-	if c.monitor != nil || tx.e.interpretMasks {
-		// Combined monitoring and interpreted masks take paths the batch
-		// plan does not compile; fall back to the definitionally
-		// equivalent loop.
-		return tx.postBatchSlow(b)
-	}
 	if b.planE != tx.e || b.planC != c || b.planN != len(b.methods) {
 		b.buildPlan(tx.e, c)
 	}
@@ -221,8 +228,7 @@ func (tx *Tx) PostBatch(b *Batch) error {
 	// shares it.
 	now := tx.e.clk.Now()
 	txid := tx.tx.ID()
-	var bc batchCounters
-	defer tx.flushBatch(c, b, &bc, now.UnixNano(), txid)
+	defer tx.flushBatch(c, b, now.UnixNano())
 
 	for i := range b.oids {
 		bm := &b.plan[b.meth[i]]
@@ -245,30 +251,27 @@ func (tx *Tx) PostBatch(b *Batch) error {
 			return fmt.Errorf("engine: %s.%s takes %d argument(s), got %d",
 				rec.Class, bm.name, len(bm.m.Params), len(args))
 		}
+		bound := bm.bound
 		for j := range args {
 			cv, err := coerce(args[j], bm.m.Params[j].Kind)
 			if err != nil {
 				return fmt.Errorf("engine: %s.%s parameter %s: %w",
 					rec.Class, bm.name, bm.m.Params[j].Name, err)
 			}
-			bm.bound[bm.m.Params[j].Name] = cv
+			bound[bm.m.Params[j].Name] = cv
 			bm.dense[j] = cv
 		}
 
 		h := event.Happening{
 			Kind:   bm.before.kind,
-			Params: bm.bound,
+			Params: bound,
 			Dense:  bm.dense,
 			TxID:   txid,
 			At:     now,
 		}
-		// A phase no trigger listens on and no observer (history book,
-		// tracer) can see reduces to its counters; skipping the full step
-		// saves real time on before-kinds, which most triggers ignore.
-		if len(bm.before.entries) == 0 && tx.e.book.Load() == nil && tx.e.traceBox.Load() == nil {
-			bc.happenings++
-			bm.before.count++
-		} else if err := tx.stepBatch(c, &bm.before, b.oids[i], rec, &h, &bc); err != nil {
+		fired, err := tx.postPhase(c, &bm.before, b.oids[i], rec, &h)
+		bm.detach(fired)
+		if err != nil {
 			return tx.propagate(err)
 		}
 
@@ -278,7 +281,7 @@ func (tx *Tx) PostBatch(b *Batch) error {
 		// trigger ActionCtx, implementations must not retain the pointer
 		// past their return.
 		saved := bm.mctx
-		bm.mctx = MethodCtx{Tx: tx, Self: b.oids[i], Args: bm.bound}
+		bm.mctx = MethodCtx{Tx: tx, Self: b.oids[i], Args: bound}
 		_, err = bm.impl(&bm.mctx)
 		bm.mctx = saved
 		if err != nil {
@@ -286,26 +289,23 @@ func (tx *Tx) PostBatch(b *Batch) error {
 		}
 
 		h.Kind = bm.after.kind
-		if len(bm.after.entries) == 0 && tx.e.book.Load() == nil && tx.e.traceBox.Load() == nil {
-			bc.happenings++
-			bm.after.count++
-		} else if err := tx.stepBatch(c, &bm.after, b.oids[i], rec, &h, &bc); err != nil {
+		fired, err = tx.postPhase(c, &bm.after, b.oids[i], rec, &h)
+		bm.detach(fired)
+		if err != nil {
 			return tx.propagate(err)
 		}
 	}
 	return nil
 }
 
-// postBatchSlow executes the batch through the one-at-a-time path —
-// the semantic definition of PostBatch.
-func (tx *Tx) postBatchSlow(b *Batch) error {
-	for i := range b.oids {
-		args := b.args[b.argOff[i]:b.argOff[i+1]]
-		if _, err := tx.Call(b.oids[i], b.methods[b.meth[i]], args...); err != nil {
-			return err
-		}
+// detach gives later entries a fresh parameter map once an entry's
+// happening fired: the actions may keep the current one. The firing
+// path is allowed to allocate — the zero-allocation promise covers the
+// non-firing common case.
+func (bm *batchMethod) detach(fired bool) {
+	if fired && bm.bound != nil {
+		bm.bound = make(map[string]value.Value, len(bm.m.Params))
 	}
-	return nil
 }
 
 // batchAccess is tx.access with the transaction's single-entry record
@@ -324,186 +324,12 @@ func (tx *Tx) batchAccess(oid store.OID) (*store.Record, error) {
 	return rec, nil
 }
 
-// stepBatch is step() specialized to a prepared batchPhase: the kind is
-// pre-resolved, the dispatch slice is hoisted, mask programs evaluate
-// through mask.EvalBits, and metrics accumulate in the phase/counter
-// scratch instead of paying atomic updates per happening. Combined
-// monitoring and onlyTrigger delivery never reach here (PostBatch and
-// cohort timer delivery route monitored classes through the per-call
-// paths; 'after' one-shots post one-at-a-time via postTimer).
-func (tx *Tx) stepBatch(c *Class, ph *batchPhase, oid store.OID, rec *store.Record,
-	h *event.Happening, bc *batchCounters) error {
-	tx.e.recordHappening(oid, *h)
-	bc.happenings++
-	ph.count++
-	tx.e.traceHappening(h.TxID, oid, rec.Class, h.Kind)
-	c.ensureSlots(rec)
-
-	base := len(tx.fired)
-	for i := range ph.entries {
-		d := &ph.entries[i]
-		t := d.t
-		act := rec.Slot(t.slot)
-		if act == nil || !act.Active {
-			continue
-		}
-		var bits uint32
-		if d.used != 0 {
-			saved := tx.penv
-			tx.penv = progHost{tx: tx, self: oid, rec: rec, cls: c}
-			got, evals, falses, err := mask.EvalBits(d.progs, d.used, h.Dense, trigDense(t, act), &tx.penv)
-			tx.penv = saved
-			ph.evals[i] += uint64(evals)
-			ph.falses[i] += uint64(falses)
-			bc.maskEvals += uint64(evals)
-			if err != nil {
-				tx.fired = tx.fired[:base]
-				return fmt.Errorf("engine: trigger %s mask: %w", t.Res.Name, err)
-			}
-			bits = got
-			tx.e.traceMask(h.TxID, oid, rec.Class, t.Res.Name, d.used, bits)
-		}
-		sym := c.Res.Alphabet.Symbol(ph.kindIx, bits)
-
-		var prev, next int
-		if t.View == schema.WholeView {
-			key := instanceKey{oid, t.Res.Name}
-			tx.e.wholeMu.Lock()
-			cur, ok := tx.e.whole[key]
-			if !ok {
-				cur = t.Auto.Start()
-			}
-			prev = cur
-			next = t.Auto.Next(cur, sym)
-			tx.e.whole[key] = next
-			if tx.e.shadowOracle {
-				tx.e.wholeShadow[key] = append(tx.e.wholeShadow[key], sym)
-			}
-			tx.e.wholeMu.Unlock()
-		} else {
-			prev = act.State
-			next = t.Auto.Next(act.State, sym)
-			if next != prev || tx.e.shadowOracle {
-				// First in-place mutation of a narrow-stepped record:
-				// register its narrow before-image (idempotent after the
-				// first call). Self-looping instances skip this entirely —
-				// the record is bit-identical after the step, so it needs
-				// no undo, no WAL record, and no epoch republication.
-				if tx.narrowStep {
-					if _, _, err := tx.tx.AccessNarrow(oid); err != nil {
-						tx.fired = tx.fired[:base]
-						return err
-					}
-				}
-				act.State = next
-				if tx.e.shadowOracle {
-					act.Shadow = append(act.Shadow, sym)
-				}
-			}
-		}
-		bc.steps++
-		ph.steps[i]++
-		accepted := t.Auto.Accept(next)
-		if next != prev || accepted {
-			if r := tx.e.provRing(oid, t.Res.Name); r != nil {
-				r.Append(obs.ProvStep{
-					TxID: h.TxID, AtNs: h.At.UnixNano(),
-					KindID: ph.kindID, Bits: bits, Sym: sym,
-					From: prev, To: next, Accepted: accepted,
-				})
-				bc.provSteps++
-			}
-		}
-		tx.e.traceStep(h.TxID, oid, rec.Class, t.Res.Name, prev, next, accepted)
-		if tx.e.shadowOracle {
-			if err := tx.e.shadowCheck(oid, t, act, accepted); err != nil {
-				tx.fired = tx.fired[:base]
-				return err
-			}
-		}
-		if accepted {
-			tx.fired = append(tx.fired, firedTrigger{t, act})
-		}
-	}
-
-	fired := tx.fired[base:]
-	if len(fired) == 0 {
-		tx.fired = tx.fired[:base]
-		return nil
-	}
-	if tx.narrowStep {
-		// The narrow image covers only activation scalars, but the
-		// actions about to run may mutate anything: register the object
-		// (it may be pristine — an accepting self-loop) and promote it
-		// to a full before-image while its fields are still untouched.
-		_, _, err := tx.tx.AccessNarrow(oid)
-		if err == nil {
-			err = tx.tx.Promote(oid)
-		}
-		if err != nil {
-			tx.fired = tx.fired[:base]
-			return err
-		}
-	}
-	for _, f := range fired {
-		if !f.t.Res.Perpetual {
-			f.act.Active = false
-			tx.e.timers.disarm(oid, f.t)
-		}
-	}
-	// ActionCtx documents its EventParams map as retainable, but this
-	// happening's Params is the plan's reused bound map: detach a copy
-	// before any action sees it. The firing path is allowed to allocate
-	// — the zero-allocation promise covers the non-firing common case.
-	if h.Params != nil {
-		params := make(map[string]value.Value, len(h.Params))
-		for k, v := range h.Params {
-			params[k] = v
-		}
-		h.Params = params
-	}
-	err := tx.fire(oid, c, *h, fired)
-	tx.fired = tx.fired[:base]
-	// Actions run arbitrary engine operations; drop the record cache
-	// rather than reason about what they touched.
-	tx.cachedRec = nil
-	return err
-}
-
-// flushBatch publishes the batch's accumulated statistics — one atomic
-// add per engine counter, one per (trigger, phase) metric stream — and
-// the per-phase StageBatch flight summaries.
-func (tx *Tx) flushBatch(c *Class, b *Batch, bc *batchCounters, atNs int64, txid uint64) {
-	if bc.happenings != 0 {
-		tx.e.stats.happenings.Add(bc.happenings)
-		c.met.HappeningN(bc.happenings)
-	}
-	if bc.steps != 0 {
-		tx.e.stats.steps.Add(bc.steps)
-	}
-	if bc.maskEvals != 0 {
-		tx.e.stats.maskEvals.Add(bc.maskEvals)
-	}
-	if bc.provSteps != 0 {
-		tx.e.stats.provSteps.Add(bc.provSteps)
-	}
+// flushBatch publishes the batch's accumulated statistics: the
+// engine-wide counters and each phase's StageBatch summary.
+func (tx *Tx) flushBatch(c *Class, b *Batch, atNs int64) {
 	for pi := range b.plan {
-		bm := &b.plan[pi]
-		for _, ph := range [...]*batchPhase{&bm.before, &bm.after} {
-			if ph.count != 0 {
-				tx.e.flightBatch(atNs, txid, c.nameID, ph.kindID, ph.count)
-				ph.count = 0
-			}
-			for i := range ph.entries {
-				if ph.steps[i] != 0 {
-					ph.entries[i].t.met.StepN(ph.steps[i])
-					ph.steps[i] = 0
-				}
-				if ph.evals[i] != 0 || ph.falses[i] != 0 {
-					ph.entries[i].t.met.MaskEvalN(ph.evals[i], ph.falses[i])
-					ph.evals[i], ph.falses[i] = 0, 0
-				}
-			}
-		}
+		tx.flushPhase(c, &b.plan[pi].before, atNs)
+		tx.flushPhase(c, &b.plan[pi].after, atNs)
 	}
+	tx.flushCounts()
 }

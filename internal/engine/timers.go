@@ -19,9 +19,9 @@ import (
 // OBJECT of a class on the same canonical specification comes due at
 // the same tick. The table exploits that with cohorts: one clock timer
 // per (class, spec, phase) holding the member OID set, instead of one
-// timer + closure per object. A due cohort delivers its tick through
-// the columnar stepBatch path in one system transaction per (class,
-// tick) — see timerbatch.go. 'after' is relative to the arming of the
+// timer + closure per object. A due cohort streams its members through
+// the stepping kernel in one system transaction per (class, tick) —
+// see timerbatch.go. 'after' is relative to the arming of the
 // trigger (§3.1: "scheduled to occur after a specified period ... when
 // the trigger is armed"), so it stays per (object, trigger) and its
 // happening is delivered only to that trigger.
@@ -76,7 +76,7 @@ type cohortKey struct {
 }
 
 // cohort is one shared wheel entry: the member set, the armed clock
-// timer, and the cached columnar delivery plan (timerbatch.go).
+// timer, and the cached delivery phase (timerbatch.go).
 type cohort struct {
 	ck       cohortKey
 	mode     evlang.TimeMode
@@ -111,16 +111,16 @@ func (tt *timerTable) arm(oid store.OID, c *Class, t *Trigger) {
 	for _, req := range t.Res.Timers {
 		switch req.Mode {
 		case evlang.TimeAfter:
-			tt.armAfter(oid, t.Res.Name, req)
+			tt.armAfter(oid, t, req)
 		default:
 			tt.armShared(oid, c, t.Res.Name, req)
 		}
 	}
 }
 
-func (tt *timerTable) armAfter(oid store.OID, trig string, req evlang.TimerReq) {
+func (tt *timerTable) armAfter(oid store.OID, t *Trigger, req evlang.TimerReq) {
 	id := tt.e.clk.After(req.Spec.Period(), func(time.Time) {
-		tt.e.postTimer(oid, req.Key, trig)
+		tt.e.postTimer(oid, req.Key, t)
 	})
 	tt.mu.Lock()
 	shots := tt.oneShots[oid]
@@ -128,7 +128,7 @@ func (tt *timerTable) armAfter(oid store.OID, trig string, req evlang.TimerReq) 
 		shots = map[string][]clock.TimerID{}
 		tt.oneShots[oid] = shots
 	}
-	shots[trig] = append(shots[trig], id)
+	shots[t.Res.Name] = append(shots[t.Res.Name], id)
 	tt.mu.Unlock()
 }
 
@@ -219,8 +219,8 @@ func (tt *timerTable) removeCohortLocked(co *cohort) {
 	delete(tt.cohorts, co.ck)
 }
 
-// fireCohort snapshots the due members and delivers the tick through
-// the columnar batch path (timerbatch.go). Members are delivered in
+// fireCohort snapshots the due members and delivers the tick in one
+// system transaction (timerbatch.go). Members are delivered in
 // ascending OID order — the deterministic order the cohort-vs-
 // per-object equivalence proof pins.
 func (tt *timerTable) fireCohort(co *cohort) {
@@ -263,7 +263,7 @@ func (tt *timerTable) armSharedLegacy(oid store.OID, trig string, req evlang.Tim
 			dead := st.canceled
 			tt.mu.Unlock()
 			if !dead {
-				tt.e.postTimer(oid, req.Key, "")
+				tt.e.postTimer(oid, req.Key, nil)
 			}
 		})
 	case evlang.TimeAt:
@@ -288,7 +288,7 @@ func (tt *timerTable) scheduleAtLocked(sk sharedKey, st *sharedTimer, req evlang
 		if dead {
 			return
 		}
-		tt.e.postTimer(sk.oid, req.Key, "")
+		tt.e.postTimer(sk.oid, req.Key, nil)
 		tt.mu.Lock()
 		if !st.canceled {
 			tt.scheduleAtLocked(sk, st, req)
@@ -401,17 +401,21 @@ func (tt *timerTable) disarmObject(oid store.OID) {
 }
 
 // postTimer delivers a time event to one object from a system
-// transaction (time events belong to no user transaction). An empty
-// onlyTrigger delivers to every active trigger of the object. This is
-// the per-object path: 'after' one-shots, the PerObjectTimers
-// baseline, classes outside the batch plan's reach, and the error-
-// recovery fallback of cohort delivery all come through here.
-func (e *Engine) postTimer(oid store.OID, key string, onlyTrigger string) {
+// transaction (time events belong to no user transaction). A nil only
+// delivers to every active trigger of the object. This is the
+// per-object path: 'after' one-shots, the PerObjectTimers baseline,
+// and the error-recovery fallback of cohort delivery all come through
+// here.
+func (e *Engine) postTimer(oid store.OID, key string, only *Trigger) {
 	if !e.st.Exists(oid) {
 		return
 	}
 	e.stats.timerPosts.Add(1)
-	e.traceTimer(oid, key, onlyTrigger)
+	if only != nil {
+		e.traceTimer(oid, key, only.Res.Name)
+	} else {
+		e.traceTimer(oid, key, "")
+	}
 	sys := e.beginSystem()
 	rec, err := sys.access(oid)
 	if err != nil {
@@ -420,7 +424,7 @@ func (e *Engine) postTimer(oid store.OID, key string, onlyTrigger string) {
 		return
 	}
 	h := event.Happening{Kind: event.TimerKind(key), At: e.clk.Now()}
-	if _, err := sys.step(oid, rec, h, onlyTrigger); err != nil {
+	if _, err := sys.post(oid, rec, h, only); err != nil {
 		sys.doAbort()
 		e.recordTimerErr(fmt.Errorf("engine: timer %q on object %d: %w", key, oid, err))
 		return
@@ -460,7 +464,7 @@ func (tt *timerTable) reconcile(oid store.OID, c *Class, rec *store.Record) {
 		for _, req := range t.Res.Timers {
 			if req.Mode == evlang.TimeAfter {
 				if !tt.hasOneShots(instanceKey{oid, t.Res.Name}) {
-					tt.armAfter(oid, t.Res.Name, req)
+					tt.armAfter(oid, t, req)
 				}
 			} else {
 				tt.armShared(oid, c, t.Res.Name, req)

@@ -31,8 +31,9 @@ type Tx struct {
 	evArena []value.Value  // dense event-parameter arena (Call)
 	penv    progHost       // compiled-mask host (dispatch.go)
 	actCtx  ActionCtx      // action context storage (fire)
+	counts  postCounts     // engine-wide counts awaiting flushCounts (post.go)
 
-	// narrowStep marks a cohort timer delivery transaction: stepBatch
+	// narrowStep marks a cohort timer delivery transaction: step
 	// registers objects with the txn layer lazily — a narrow
 	// activation-scalar image at the first in-place mutation, promoted
 	// to a full image before any trigger action runs. Off (the
@@ -116,7 +117,7 @@ func (tx *Tx) access(oid store.OID) (*store.Record, error) {
 			TxID: tx.tx.ID(),
 			At:   tx.e.clk.Now(),
 		}
-		if _, err := tx.step(oid, rec, h, ""); err != nil {
+		if _, err := tx.post(oid, rec, h, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -151,7 +152,7 @@ func (tx *Tx) NewObject(class string, fields map[string]value.Value) (store.OID,
 		TxID: tx.tx.ID(),
 		At:   tx.e.clk.Now(),
 	}
-	if _, err := tx.step(rec.OID, rec, h, ""); err != nil {
+	if _, err := tx.post(rec.OID, rec, h, nil); err != nil {
 		return 0, tx.propagate(err)
 	}
 	return rec.OID, nil
@@ -168,7 +169,7 @@ func (tx *Tx) DeleteObject(oid store.OID) error {
 		TxID: tx.tx.ID(),
 		At:   tx.e.clk.Now(),
 	}
-	if _, err := tx.step(oid, rec, h, ""); err != nil {
+	if _, err := tx.post(oid, rec, h, nil); err != nil {
 		return tx.propagate(err)
 	}
 	tx.e.timers.disarmObject(oid)
@@ -225,7 +226,7 @@ func (tx *Tx) Call(oid store.OID, method string, args ...value.Value) (value.Val
 		TxID:   tx.tx.ID(),
 		At:     tx.e.clk.Now(),
 	}
-	if _, err := tx.step(oid, rec, before, ""); err != nil {
+	if _, err := tx.post(oid, rec, before, nil); err != nil {
 		return value.Null(), tx.propagate(err)
 	}
 
@@ -241,7 +242,7 @@ func (tx *Tx) Call(oid store.OID, method string, args ...value.Value) (value.Val
 		TxID:   tx.tx.ID(),
 		At:     tx.e.clk.Now(),
 	}
-	if _, err := tx.step(oid, rec, after, ""); err != nil {
+	if _, err := tx.post(oid, rec, after, nil); err != nil {
 		return out, tx.propagate(err)
 	}
 	return out, nil
@@ -390,7 +391,7 @@ func (tx *Tx) Commit() error {
 					TxID: tx.tx.ID(),
 					At:   tx.e.clk.Now(),
 				}
-				f, err := tx.step(oid, rec, h, "")
+				f, err := tx.post(oid, rec, h, nil)
 				if err != nil {
 					return tx.propagate(err)
 				}
@@ -458,7 +459,7 @@ func (tx *Tx) doAbort() {
 			}
 			// Errors during abort-path posting are swallowed: the
 			// transaction is aborting regardless.
-			_, _ = tx.step(oid, rec, h, "")
+			_, _ = tx.post(oid, rec, h, nil)
 		}
 	}
 	tx.cachedRec = nil // abort-path postings may have re-primed it
@@ -528,7 +529,7 @@ func (e *Engine) postOutcome(accessed []store.OID, class event.Class, phase even
 			TxID: ofTx,
 			At:   e.clk.Now(),
 		}
-		if _, err := sys.step(oid, rec, h, ""); err != nil {
+		if _, err := sys.post(oid, rec, h, nil); err != nil {
 			sys.doAbort()
 			return err
 		}

@@ -161,15 +161,6 @@ func (m *TriggerMetrics) Step() {
 	}
 }
 
-// StepN counts n automaton transitions at once. Batch posting
-// accumulates per-trigger counts locally and flushes them here, one
-// atomic add per batch instead of one per happening.
-func (m *TriggerMetrics) StepN(n uint64) {
-	if m != nil && n > 0 {
-		m.steps.Add(n)
-	}
-}
-
 // MaskEval counts one mask evaluation and its verdict.
 func (m *TriggerMetrics) MaskEval(ok bool) {
 	if m == nil {
@@ -181,8 +172,8 @@ func (m *TriggerMetrics) MaskEval(ok bool) {
 	}
 }
 
-// MaskEvalN counts evals mask evaluations of which falses were false.
-// The batch-posting flush counterpart of MaskEval.
+// MaskEvalN counts evals mask evaluations of which falses were false —
+// one trigger's evaluations for one happening, counted at once.
 func (m *TriggerMetrics) MaskEvalN(evals, falses uint64) {
 	if m == nil || evals == 0 {
 		return
@@ -227,7 +218,7 @@ func (m *ClassMetrics) Happening() {
 	}
 }
 
-// HappeningN counts n happenings at once (the batch-posting flush).
+// HappeningN counts n happenings at once (the batch and timer-tick flush).
 func (m *ClassMetrics) HappeningN(n uint64) {
 	if m != nil && n > 0 {
 		m.happenings.Add(n)

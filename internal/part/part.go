@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"ode/internal/engine"
+	"ode/internal/history"
 	"ode/internal/store"
 )
 
@@ -428,6 +429,29 @@ func (db *DB) Explain(trigger string, oid store.OID) (*engine.Explanation, error
 		return ierr
 	})
 	return ex, err
+}
+
+// History returns an object's recorded happening log from its owning
+// partition (nil when recording is off or nothing was recorded).
+func (db *DB) History(oid store.OID) *history.Log {
+	var log *history.Log
+	_ = db.Do(db.PartitionOf(oid), func(e *engine.Engine) error {
+		log = e.History(oid)
+		return nil
+	})
+	return log
+}
+
+// QueryHistory evaluates a mask-free event expression over an object's
+// recorded history in its owning partition.
+func (db *DB) QueryHistory(oid store.OID, eventSrc string) ([]uint64, error) {
+	var seqs []uint64
+	err := db.Do(db.PartitionOf(oid), func(e *engine.Engine) error {
+		var ierr error
+		seqs, ierr = e.QueryHistory(oid, eventSrc)
+		return ierr
+	})
+	return seqs, err
 }
 
 // VerifyOracle replays every partition's shadow-oracle histories (§4)

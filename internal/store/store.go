@@ -626,6 +626,9 @@ func (s *Store) recover() error {
 		}
 	}
 	frames, scan, err := readWAL(s.dir)
+	if verr := validateFrames(frames); verr != nil {
+		return verr
+	}
 	if err != nil {
 		if !errors.Is(err, ErrTornTail) {
 			return err
@@ -681,6 +684,28 @@ func (s *Store) recover() error {
 	// seq-ordered.
 	sort.Slice(firings, func(i, j int) bool { return firings[i].Seq < firings[j].Seq })
 	s.egress.load(firings, firingSeq)
+	return nil
+}
+
+// validateFrames rejects decoded frames that no writer produces: a
+// record frame missing its record. Gob decodes a damaged frame into
+// such a shape rather than failing, and applying it would dereference
+// nil.
+func validateFrames(frames []frame) error {
+	for i, f := range frames {
+		switch f.Op {
+		case opPut:
+			if f.Rec == nil {
+				return fmt.Errorf("%w: frame %d (put, tx %d) carries no record", ErrCorruptFrame, i, f.TxID)
+			}
+		case opPutN:
+			for j, r := range f.Recs {
+				if r == nil {
+					return fmt.Errorf("%w: frame %d (put-n, tx %d) record %d is missing", ErrCorruptFrame, i, f.TxID, j)
+				}
+			}
+		}
+	}
 	return nil
 }
 

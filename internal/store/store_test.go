@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -155,6 +156,43 @@ func TestUncommittedFramesIgnored(t *testing.T) {
 	ra, _ := s2.Get(a.OID)
 	if !ra.Fields["v"].Equal(value.Int(1)) {
 		t.Fatalf("uncommitted frame applied: %v", ra.Fields["v"])
+	}
+}
+
+// TestRecoverRejectsRecordlessFrames: a committed record frame that
+// decodes without its record (the shape bit flips produce) makes Open
+// fail with ErrCorruptFrame instead of panicking.
+func TestRecoverRejectsRecordlessFrames(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := s.Create("x", map[string]value.Value{"v": value.Int(1)})
+	s.LogCommit(1, []OID{a.OID}, nil, nil)
+	var buf bytes.Buffer
+	for _, fr := range []frame{
+		{Op: opBegin, TxID: 2},
+		{Op: opPut, TxID: 2},
+		{Op: opCommit, TxID: 2},
+	} {
+		if err := encodeFrame(&buf, fr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.wal.commit(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	if _, err := Open(dir); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("Open over a recordless put frame: err = %v, want ErrCorruptFrame", err)
+	}
+	// gob cannot encode a nil slice element, so the multi-record shape
+	// is checked on decoded frames directly.
+	bad := []frame{{Op: opPutN, TxID: 3, Recs: []*Record{a, nil}}}
+	if err := validateFrames(bad); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("put-n frame with a missing record: err = %v, want ErrCorruptFrame", err)
 	}
 }
 

@@ -217,6 +217,10 @@ func encodeFrame(buf *bytes.Buffer, fr frame) error {
 // decide whether to repair (truncate to the clean prefix) or refuse.
 var ErrTornTail = errors.New("store: torn wal tail")
 
+// ErrCorruptFrame reports a WAL frame that decoded but cannot be
+// applied. Recovery refuses to open the store rather than guess.
+var ErrCorruptFrame = errors.New("store: corrupt wal frame")
+
 // walScan summarizes one readWAL pass: the byte length of the clean
 // frame prefix and how many trailing bytes fall after it.
 type walScan struct {

@@ -198,11 +198,6 @@ type Options struct {
 	// commit performs its own write and sync instead of coalescing
 	// with concurrent committers.
 	DisableGroupCommit bool
-	// InterpretedMasks evaluates trigger masks with the AST
-	// interpreter instead of the programs compiled at class
-	// registration — the baseline the compiled hot path is benchmarked
-	// and cross-checked against. Intended for tests and benchmarks.
-	InterpretedMasks bool
 	// FlightBuffer sizes the always-on flight recorder (rounded up to a
 	// power of two; 0 = the default capacity). The recorder cannot be
 	// disabled — it is the post-incident record of recent pipeline
@@ -242,7 +237,6 @@ func Open(opts Options) (*Database, error) {
 		TraceBuffer:        opts.TraceBuffer,
 		DebugAddr:          opts.DebugAddr,
 		DisableGroupCommit: opts.DisableGroupCommit,
-		InterpretedMasks:   opts.InterpretedMasks,
 		FlightBuffer:       opts.FlightBuffer,
 		ProvenanceDepth:    opts.ProvenanceDepth,
 	}
@@ -444,15 +438,25 @@ func (db *Database) TriggerState(oid OID, trigger string) (state int, active boo
 }
 
 // History returns the recorded happening log of an object (nil unless
-// Options.RecordHistories enabled recording).
-func (db *Database) History(oid OID) *HistoryLog { return db.eng.History(oid) }
+// Options.RecordHistories enabled recording). Routed to the owning
+// partition when partitioned.
+func (db *Database) History(oid OID) *HistoryLog {
+	if db.parts != nil {
+		return db.parts.History(oid)
+	}
+	return db.eng.History(oid)
+}
 
 // QueryHistory evaluates a mask-free event expression over an object's
 // recorded history and returns the sequence numbers of the points at
 // which the event occurred — offline "history expressions" (the
 // paper's §9 future-work direction). Requires Options.RecordHistories
-// with a limit the history has not outgrown.
+// with a limit the history has not outgrown. Routed to the owning
+// partition when partitioned.
 func (db *Database) QueryHistory(oid OID, eventSrc string) ([]uint64, error) {
+	if db.parts != nil {
+		return db.parts.QueryHistory(oid, eventSrc)
+	}
 	return db.eng.QueryHistory(oid, eventSrc)
 }
 

@@ -204,3 +204,49 @@ func TestPartitionedGuards(t *testing.T) {
 		t.Fatalf("TransactOn(0) must work unpartitioned: %v", err)
 	}
 }
+
+// TestHistoryOnEveryPartition runs History and QueryHistory at P=1 and
+// P=4 on an object of every partition: each must answer from the
+// object's owning partition, not from partition 0.
+func TestHistoryOnEveryPartition(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		db, err := ode.Open(ode.Options{Partitions: n, RecordHistories: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		if err := balanceMethods(db.NewClass("account")).Register(); err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < n; p++ {
+			var oid ode.OID
+			err := db.TransactOn(p, func(tx *ode.Tx) error {
+				var err error
+				if oid, err = tx.NewObject("account", nil); err != nil {
+					return err
+				}
+				if _, err := tx.Call(oid, "deposit", ode.Int(5)); err != nil {
+					return err
+				}
+				_, err = tx.Call(oid, "withdraw", ode.Int(2))
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := db.PartitionOf(oid); got != p {
+				t.Fatalf("P=%d: object created on partition %d routes to %d", n, p, got)
+			}
+			// create, before/after deposit, before/after withdraw,
+			// before tcomplete, after tcommit.
+			log := db.History(oid)
+			if log == nil || log.Len() != 7 {
+				t.Fatalf("P=%d partition %d: History(%d) = %v, want 7 entries", n, p, oid, log)
+			}
+			seqs, err := db.QueryHistory(oid, "after deposit")
+			if err != nil || len(seqs) != 1 {
+				t.Fatalf("P=%d partition %d: QueryHistory(%d) = %v, %v; want one point", n, p, oid, seqs, err)
+			}
+		}
+	}
+}
