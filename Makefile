@@ -20,15 +20,17 @@ vet:
 race:
 	$(GO) test -race ./internal/engine/ ./internal/obs/ ./internal/txn/ ./internal/store/ ./internal/part/ ./internal/egress/
 
-# Short fuzz smoke over the event-language and mask parsers and the
-# egress record codec; longer campaigns:
+# Short fuzz smoke over the event-language and mask parsers, the
+# egress record codec and the WAL frame reader; longer campaigns:
 # go test -fuzz FuzzParseEvent ./internal/evlang/
 # go test -fuzz FuzzParseMask ./internal/mask/
 # go test -fuzz FuzzRecordCodec ./internal/egress/
+# go test -fuzz FuzzWALFrames ./internal/store/
 fuzz:
 	$(GO) test -fuzz FuzzParseEvent -fuzztime 5s -run '^$$' ./internal/evlang/
 	$(GO) test -fuzz FuzzParseMask -fuzztime 5s -run '^$$' ./internal/mask/
 	$(GO) test -fuzz FuzzRecordCodec -fuzztime 5s -run '^$$' ./internal/egress/
+	$(GO) test -fuzz FuzzWALFrames -fuzztime 5s -run '^$$' ./internal/store/
 
 # Deterministic-simulation smoke (the CI sim-short job): single-engine
 # seeded runs, the multi-partition scripts (per-partition WAL faults,

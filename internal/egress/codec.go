@@ -13,11 +13,8 @@
 package egress
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"math"
 
 	"ode/internal/store"
 )
@@ -34,104 +31,44 @@ var (
 // codecVersion is the first payload byte of every encoded record.
 const codecVersion = 1
 
-// frame layout: 4-byte little-endian payload length, payload,
-// 4-byte little-endian CRC-32 (IEEE) of the payload.
-const (
-	frameHdrLen = 4
-	frameCRCLen = 4
-	// maxPayload bounds a single record (class/trigger/kind names are
-	// short identifiers; 1 MiB is generous) so a corrupt length prefix
-	// cannot drive a huge allocation.
-	maxPayload = 1 << 20
-)
+// maxPayload bounds a single record (class/trigger/kind names are
+// short identifiers; 1 MiB is generous) so a corrupt length prefix
+// cannot drive a huge allocation.
+const maxPayload = 1 << 20
 
 // AppendRecord appends the framed encoding of rec to buf and returns
-// the extended slice.
+// the extended slice. The frame is the store's (see store.ReadFrame):
+// a 4-byte little-endian payload length, the payload — codecVersion,
+// then store.AppendFiring's encoding — and the payload's CRC-32 (IEEE).
 func AppendRecord(buf []byte, rec store.FiringRecord) []byte {
 	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0) // length prefix, patched below
-	p := len(buf)
-	buf = append(buf, codecVersion)
-	buf = binary.AppendUvarint(buf, rec.Seq)
-	buf = binary.AppendUvarint(buf, rec.TxID)
-	buf = binary.AppendUvarint(buf, uint64(rec.OID))
-	buf = binary.AppendUvarint(buf, uint64(rec.Part))
-	buf = binary.AppendVarint(buf, rec.AtNs)
-	buf = appendString(buf, rec.Class)
-	buf = appendString(buf, rec.Trigger)
-	buf = appendString(buf, rec.Kind)
-	payload := buf[p:]
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-	var crc [frameCRCLen]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	return append(buf, crc[:]...)
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
+	buf = append(store.OpenFrame(buf), codecVersion)
+	buf = store.AppendFiring(buf, rec)
+	return store.CloseFrame(buf, start)
 }
 
 // DecodeRecord decodes the first framed record in b, returning the
 // record and the number of bytes consumed. An incomplete frame returns
 // ErrTruncated; a complete but invalid one returns ErrCorrupt.
 func DecodeRecord(b []byte) (store.FiringRecord, int, error) {
-	var rec store.FiringRecord
-	if len(b) < frameHdrLen {
-		return rec, 0, fmt.Errorf("%w: %d-byte length-prefix fragment", ErrTruncated, len(b))
+	payload, n, err := store.ReadFrame(b, maxPayload)
+	if errors.Is(err, store.ErrTornTail) {
+		return store.FiringRecord{}, 0, fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
-	n := binary.LittleEndian.Uint32(b)
-	if n == 0 || n > maxPayload {
-		return rec, 0, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, n)
-	}
-	total := frameHdrLen + int(n) + frameCRCLen
-	if len(b) < total {
-		return rec, 0, fmt.Errorf("%w: frame promises %d bytes, %d present", ErrTruncated, total, len(b))
-	}
-	payload := b[frameHdrLen : frameHdrLen+int(n)]
-	want := binary.LittleEndian.Uint32(b[frameHdrLen+int(n):])
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return rec, 0, fmt.Errorf("%w: checksum mismatch (got %08x want %08x)", ErrCorrupt, got, want)
+	if err != nil {
+		return store.FiringRecord{}, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if payload[0] != codecVersion {
-		return rec, 0, fmt.Errorf("%w: unknown version %d", ErrCorrupt, payload[0])
+		return store.FiringRecord{}, 0, fmt.Errorf("%w: unknown version %d", ErrCorrupt, payload[0])
 	}
-	p := payload[1:]
-	var err error
-	if rec.Seq, p, err = takeUvarint(p); err != nil {
-		return rec, 0, err
+	rec, rest, err := store.DecodeFiring(payload[1:])
+	if err != nil {
+		return store.FiringRecord{}, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if rec.TxID, p, err = takeUvarint(p); err != nil {
-		return rec, 0, err
+	if len(rest) != 0 {
+		return store.FiringRecord{}, 0, fmt.Errorf("%w: %d trailing payload byte(s)", ErrCorrupt, len(rest))
 	}
-	var u uint64
-	if u, p, err = takeUvarint(p); err != nil {
-		return rec, 0, err
-	}
-	rec.OID = store.OID(u)
-	if u, p, err = takeUvarint(p); err != nil {
-		return rec, 0, err
-	}
-	if u > math.MaxInt32 {
-		return rec, 0, fmt.Errorf("%w: implausible partition %d", ErrCorrupt, u)
-	}
-	rec.Part = int(u)
-	if rec.AtNs, p, err = takeVarint(p); err != nil {
-		return rec, 0, err
-	}
-	if rec.Class, p, err = takeString(p); err != nil {
-		return rec, 0, err
-	}
-	if rec.Trigger, p, err = takeString(p); err != nil {
-		return rec, 0, err
-	}
-	if rec.Kind, p, err = takeString(p); err != nil {
-		return rec, 0, err
-	}
-	if len(p) != 0 {
-		return rec, 0, fmt.Errorf("%w: %d trailing payload byte(s)", ErrCorrupt, len(p))
-	}
-	return rec, total, nil
+	return rec, n, nil
 }
 
 // DecodeAll decodes every complete record in b. A truncated final
@@ -149,31 +86,4 @@ func DecodeAll(b []byte) ([]store.FiringRecord, error) {
 		b = b[n:]
 	}
 	return out, nil
-}
-
-func takeUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: bad uvarint", ErrCorrupt)
-	}
-	return v, b[n:], nil
-}
-
-func takeVarint(b []byte) (int64, []byte, error) {
-	v, n := binary.Varint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: bad varint", ErrCorrupt)
-	}
-	return v, b[n:], nil
-}
-
-func takeString(b []byte) (string, []byte, error) {
-	n, rest, err := takeUvarint(b)
-	if err != nil {
-		return "", nil, err
-	}
-	if n > uint64(len(rest)) {
-		return "", nil, fmt.Errorf("%w: string promises %d bytes, %d present", ErrCorrupt, n, len(rest))
-	}
-	return string(rest[:n]), rest[n:], nil
 }

@@ -463,28 +463,30 @@ func (tx *Tx) doAbort() {
 		}
 	}
 	tx.cachedRec = nil // abort-path postings may have re-primed it
-	_ = tx.tx.Abort()
+	// Rollback restores each record's activation flags, but Activate
+	// and Deactivate adjusted the timer table eagerly: re-align it
+	// while the locks are still held, so a later transaction's arm or
+	// disarm of the same object cannot be undone by a stale reconcile.
+	_ = tx.tx.AbortThen(func() {
+		for _, oid := range accessed {
+			rec, err := tx.e.st.Get(oid)
+			if err != nil {
+				// The object no longer exists — it was created by this
+				// transaction and removed by the rollback; drop whatever
+				// the transaction armed on it.
+				tx.e.timers.disarmObject(oid)
+				continue
+			}
+			if c, err := tx.e.classOf(rec); err == nil {
+				tx.e.timers.reconcile(oid, c, rec)
+			}
+		}
+	})
 	tx.finished = true
 	if !tx.tx.System() {
 		tx.e.stats.txAborted.Add(1)
 	}
 	tx.e.traceTx(obs.StageTxAbort, tx.tx.ID(), tx.tx.System())
-
-	// Rollback restored each record's activation flags, but Activate
-	// and Deactivate adjusted the timer table eagerly: re-align it.
-	for _, oid := range accessed {
-		rec, err := tx.e.st.Get(oid)
-		if err != nil {
-			// The object no longer exists — it was created by this
-			// transaction and removed by the rollback; drop whatever
-			// the transaction armed on it.
-			tx.e.timers.disarmObject(oid)
-			continue
-		}
-		if c, err := tx.e.classOf(rec); err == nil {
-			tx.e.timers.reconcile(oid, c, rec)
-		}
-	}
 
 	if !tx.tx.System() {
 		if err := tx.e.postOutcome(accessed, event.KTabort, event.After, tx.tx.ID()); err != nil {

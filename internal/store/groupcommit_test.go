@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"sync"
@@ -91,17 +90,12 @@ func TestCrashMidBatchRecovery(t *testing.T) {
 		Fields:   map[string]value.Value{"v": value.Int(999)},
 		Triggers: map[string]*TrigActivation{},
 	}
-	var buf bytes.Buffer
-	for _, fr := range []frame{
-		{Op: opBegin, TxID: 99},
-		{Op: opPut, TxID: 99, Rec: rec},
-		{Op: opCommit, TxID: 99},
-	} {
-		if err := encodeFrame(&buf, fr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	torn := buf.Bytes()[:buf.Len()-3]
+	buf := encodeFrames(
+		frame{Op: opBegin, TxID: 99},
+		frame{Op: opPut, TxID: 99, Recs: []*Record{rec}},
+		frame{Op: opCommit, TxID: 99},
+	)
+	torn := buf[:len(buf)-3]
 	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)

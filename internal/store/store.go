@@ -26,7 +26,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -57,7 +56,7 @@ type TrigActivation struct {
 	// Dense carries the activation parameters in the trigger's declared
 	// order, for compiled mask programs that resolve names to indexes.
 	// It aliases the same values as Params; the engine rebuilds it
-	// lazily for records recovered from logs written before it existed.
+	// lazily when it is nil.
 	Dense []value.Value
 	// Shadow is the instance's symbol history, kept only when the
 	// engine's shadow-oracle mode is on; stored here so it is rolled
@@ -92,7 +91,7 @@ type Record struct {
 	// slots is the dense per-class trigger index: slots[i] aliases the
 	// activation the engine's trigger i would find in Triggers, so the
 	// posting hot path addresses activations by index instead of a map
-	// probe per trigger per happening. Unexported on purpose: gob skips
+	// probe per trigger per happening. The WAL codec does not encode
 	// it, so persistence stays name-keyed and the engine rebuilds the
 	// index lazily (and re-aliases it on clone).
 	slots []trigSlot
@@ -255,10 +254,11 @@ type RecoveryInfo struct {
 	WALFrames int
 	// TxApplied is the number of committed transactions applied.
 	TxApplied int
-	// TornTail reports that the log ended in a torn or undecodable
-	// trailing record (crash mid-append). The tail was discarded and
-	// the file truncated to the clean prefix before reopening, so
-	// later appends cannot hide committed frames behind garbage.
+	// TornTail reports that the log ended mid-frame or mid-header
+	// (crash mid-append). The tail was discarded and the file truncated
+	// to the clean prefix before reopening, so later appends cannot
+	// hide committed frames behind garbage. A complete frame that fails
+	// its checksum is not a torn tail: Open fails with ErrCorruptFrame.
 	TornTail bool
 	// TornTailBytes is the size of the discarded tail.
 	TornTailBytes int64
@@ -465,13 +465,12 @@ func (s *Store) OIDs() []OID {
 }
 
 // LogCommit durably records a committed transaction: a Begin frame,
-// the dirty surviving objects (one Put frame each, or a single PutN
-// frame when the transaction dirtied more than one object — the batch
-// posting path), one Delete frame per deleted object, then a Commit
-// frame. The frames are encoded into one contiguous buffer and handed
-// to the WAL's group committer, which coalesces concurrent commits
-// into a single write and Sync. For volatile stores only the egress
-// feed is updated (nothing is logged).
+// the dirty surviving objects (a Put frame for one object, a PutN
+// frame for more), one Delete frame per deleted object, the Firings
+// frame, then a Commit frame. The frames are encoded into one pooled
+// buffer and handed to the WAL's group committer, which coalesces
+// concurrent commits into a single write and Sync. For volatile stores
+// only the egress feed is updated (nothing is encoded or logged).
 //
 // firings, when non-empty, are the trigger firings the transaction
 // captured: they are stamped with consecutive feed sequence numbers
@@ -503,47 +502,31 @@ func (s *Store) LogCommit(txID uint64, dirty []OID, deleted []OID, firings []Fir
 		}
 		return nil
 	}
-	var buf bytes.Buffer
-	if err := encodeFrame(&buf, frame{Op: opBegin, TxID: txID}); err != nil {
-		return s.egressAbort(lo, firings, err)
-	}
-	var recs []*Record
+	// The committing transaction still holds its objects' locks, so
+	// the live records are encoded in place: no writer can race.
+	e := encoders.Get().(*encoder)
+	defer e.release()
 	for _, oid := range dirty {
 		st := s.stripeOf(oid)
 		st.mu.RLock()
 		r, ok := st.objects[oid]
 		st.mu.RUnlock()
-		if !ok {
-			continue // deleted later in the same transaction
+		if ok { // absent: deleted later in the same transaction
+			e.recs = append(e.recs, r)
 		}
-		// The committing transaction still holds the object's lock, so
-		// the clone cannot race with another writer.
-		recs = append(recs, r.clone())
 	}
-	switch {
-	case len(recs) == 1:
-		if err := encodeFrame(&buf, frame{Op: opPut, TxID: txID, Rec: recs[0]}); err != nil {
-			return s.egressAbort(lo, firings, err)
-		}
-	case len(recs) > 1:
-		if err := encodeFrame(&buf, frame{Op: opPutN, TxID: txID, Recs: recs}); err != nil {
-			return s.egressAbort(lo, firings, err)
-		}
+	e.frame(&frame{Op: opBegin, TxID: txID})
+	if len(e.recs) > 0 {
+		e.puts(txID, e.recs)
 	}
 	for _, oid := range deleted {
-		if err := encodeFrame(&buf, frame{Op: opDelete, TxID: txID, OID: oid}); err != nil {
-			return s.egressAbort(lo, firings, err)
-		}
+		e.frame(&frame{Op: opDelete, TxID: txID, OID: oid})
 	}
 	if len(firings) > 0 {
-		if err := encodeFrame(&buf, frame{Op: opFirings, TxID: txID, Firings: firings}); err != nil {
-			return s.egressAbort(lo, firings, err)
-		}
+		e.frame(&frame{Op: opFirings, TxID: txID, Firings: firings})
 	}
-	if err := encodeFrame(&buf, frame{Op: opCommit, TxID: txID}); err != nil {
-		return s.egressAbort(lo, firings, err)
-	}
-	err := s.wal.commit(buf.Bytes())
+	e.frame(&frame{Op: opCommit, TxID: txID})
+	err := s.wal.commit(e.buf)
 	if len(firings) > 0 {
 		if err == nil {
 			s.egress.resolveOK(lo, firings)
@@ -562,16 +545,6 @@ func (s *Store) LogCommit(txID uint64, dirty []OID, deleted []OID, firings []Fir
 	return err
 }
 
-// egressAbort abandons an egress reservation after a pre-write encode
-// failure (nothing reached the file, so the numbers are reclaimed) and
-// passes the error through.
-func (s *Store) egressAbort(lo uint64, firings []FiringRecord, err error) error {
-	if len(firings) > 0 {
-		s.egress.resolveFail(lo, true)
-	}
-	return err
-}
-
 // Checkpoint writes a full snapshot and truncates the WAL. It is a
 // no-op for volatile stores.
 func (s *Store) Checkpoint() error {
@@ -586,21 +559,21 @@ func (s *Store) Checkpoint() error {
 	for i := range s.stripes {
 		s.stripes[i].mu.Lock()
 	}
-	merged := make(map[OID]*Record)
+	img := snapshotImage{Next: OID(s.nextOID.Load())}
 	for i := range s.stripes {
-		for oid, r := range s.stripes[i].objects {
-			merged[oid] = r
+		for _, r := range s.stripes[i].objects {
+			img.Objects = append(img.Objects, r)
 		}
 	}
 	// walMu is held exclusively, so no commit is in flight and the
 	// egress log has no pending reservation: the snapshot captures the
 	// complete feed, and the WAL reset below may discard its frames.
-	firings, firingSeq := s.egress.snapshotState()
-	err := writeSnapshot(s.dir, OID(s.nextOID.Load()), merged, firings, firingSeq)
+	img.Firings, img.FiringSeq = s.egress.snapshotState()
+	data := encodeSnapshot(img)
 	for i := len(s.stripes) - 1; i >= 0; i-- {
 		s.stripes[i].mu.Unlock()
 	}
-	if err != nil {
+	if err := writeSnapshot(s.dir, data); err != nil {
 		return err
 	}
 	return s.wal.reset()
@@ -614,21 +587,18 @@ func (s *Store) Checkpoint() error {
 // recovery would then silently stop at the tear and drop every later
 // committed transaction.
 func (s *Store) recover() error {
-	img, err := readSnapshot(s.dir)
+	img, ok, err := readSnapshot(s.dir)
 	if err != nil {
 		return err
 	}
-	if img.Objects != nil {
+	if ok {
 		s.recovery.SnapshotLoaded = true
 		s.nextOID.Store(uint64(img.Next))
-		for oid, r := range img.Objects {
-			s.stripeOf(oid).objects[oid] = r
+		for _, r := range img.Objects {
+			s.stripeOf(r.OID).objects[r.OID] = r
 		}
 	}
 	frames, scan, err := readWAL(s.dir)
-	if verr := validateFrames(frames); verr != nil {
-		return verr
-	}
 	if err != nil {
 		if !errors.Is(err, ErrTornTail) {
 			return err
@@ -642,9 +612,12 @@ func (s *Store) recover() error {
 	}
 	s.recovery.WALFrames = len(frames)
 	committed := map[uint64]bool{}
-	for _, f := range frames {
-		if f.Op == opCommit {
+	for i, f := range frames {
+		switch f.Op {
+		case opCommit:
 			committed[f.TxID] = true
+		case opCheckpoint:
+			return fmt.Errorf("%w: wal frame %d is a checkpoint frame", ErrCorruptFrame, i)
 		}
 	}
 	s.recovery.TxApplied = len(committed)
@@ -659,9 +632,7 @@ func (s *Store) recover() error {
 			continue
 		}
 		switch f.Op {
-		case opPut:
-			s.applyPut(f.Rec)
-		case opPutN:
+		case opPut, opPutN:
 			for _, r := range f.Recs {
 				s.applyPut(r)
 			}
@@ -684,28 +655,6 @@ func (s *Store) recover() error {
 	// seq-ordered.
 	sort.Slice(firings, func(i, j int) bool { return firings[i].Seq < firings[j].Seq })
 	s.egress.load(firings, firingSeq)
-	return nil
-}
-
-// validateFrames rejects decoded frames that no writer produces: a
-// record frame missing its record. Gob decodes a damaged frame into
-// such a shape rather than failing, and applying it would dereference
-// nil.
-func validateFrames(frames []frame) error {
-	for i, f := range frames {
-		switch f.Op {
-		case opPut:
-			if f.Rec == nil {
-				return fmt.Errorf("%w: frame %d (put, tx %d) carries no record", ErrCorruptFrame, i, f.TxID)
-			}
-		case opPutN:
-			for j, r := range f.Recs {
-				if r == nil {
-					return fmt.Errorf("%w: frame %d (put-n, tx %d) record %d is missing", ErrCorruptFrame, i, f.TxID, j)
-				}
-			}
-		}
-	}
 	return nil
 }
 

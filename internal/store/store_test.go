@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -136,14 +135,11 @@ func TestUncommittedFramesIgnored(t *testing.T) {
 	// Simulate a crash mid-commit: Begin+Put without Commit.
 	rec := a.clone()
 	rec.Fields["v"] = value.Int(999)
-	var buf bytes.Buffer
-	if err := encodeFrame(&buf, frame{Op: opBegin, TxID: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := encodeFrame(&buf, frame{Op: opPut, TxID: 2, Rec: rec}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.wal.commit(buf.Bytes()); err != nil {
+	buf := encodeFrames(
+		frame{Op: opBegin, TxID: 2},
+		frame{Op: opPut, TxID: 2, Recs: []*Record{rec}},
+	)
+	if err := s.wal.commit(buf); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -159,40 +155,39 @@ func TestUncommittedFramesIgnored(t *testing.T) {
 	}
 }
 
-// TestRecoverRejectsRecordlessFrames: a committed record frame that
-// decodes without its record (the shape bit flips produce) makes Open
-// fail with ErrCorruptFrame instead of panicking.
+// TestRecoverRejectsRecordlessFrames: a committed record frame whose
+// record count disagrees with its op (a put without its record, a
+// put-n with fewer than two) makes Open fail with ErrCorruptFrame
+// instead of panicking or applying a partial record set.
 func TestRecoverRejectsRecordlessFrames(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := s.Create("x", map[string]value.Value{"v": value.Int(1)})
-	s.LogCommit(1, []OID{a.OID}, nil, nil)
-	var buf bytes.Buffer
-	for _, fr := range []frame{
-		{Op: opBegin, TxID: 2},
-		{Op: opPut, TxID: 2},
-		{Op: opCommit, TxID: 2},
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"put without a record", []byte{opPut, 2, 0}},
+		{"put-n with one record", append([]byte{opPutN, 2, 1}, recordBytes(t, &Record{OID: 1, Class: "x"})...)},
+		{"put-n with no records", []byte{opPutN, 2, 0}},
 	} {
-		if err := encodeFrame(&buf, fr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.wal.commit(buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := s.Create("x", map[string]value.Value{"v": value.Int(1)})
+			s.LogCommit(1, []OID{a.OID}, nil, nil)
+			buf := encodeFrames(frame{Op: opBegin, TxID: 2})
+			buf = append(buf, rawFrame(tc.payload)...)
+			buf = append(buf, encodeFrames(frame{Op: opCommit, TxID: 2})...)
+			if err := s.wal.commit(buf); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
 
-	if _, err := Open(dir); !errors.Is(err, ErrCorruptFrame) {
-		t.Fatalf("Open over a recordless put frame: err = %v, want ErrCorruptFrame", err)
-	}
-	// gob cannot encode a nil slice element, so the multi-record shape
-	// is checked on decoded frames directly.
-	bad := []frame{{Op: opPutN, TxID: 3, Recs: []*Record{a, nil}}}
-	if err := validateFrames(bad); !errors.Is(err, ErrCorruptFrame) {
-		t.Fatalf("put-n frame with a missing record: err = %v, want ErrCorruptFrame", err)
+			if _, err := Open(dir); !errors.Is(err, ErrCorruptFrame) {
+				t.Fatalf("Open over a %s frame: err = %v, want ErrCorruptFrame", tc.name, err)
+			}
+		})
 	}
 }
 

@@ -2,53 +2,26 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"ode/internal/fault"
 )
 
-// WAL frame operations.
-const (
-	opBegin byte = iota + 1
-	opPut
-	opDelete
-	opCommit
-	// opPutN carries every dirty record of one transaction in a single
-	// frame (frame.Recs). Batch commits use it so a transaction that
-	// touched N objects appends one record frame instead of N — one gob
-	// header, one length prefix — and a torn tail can only lose the
-	// whole record set, never a prefix of it.
-	opPutN
-	// opFirings carries the trigger-firing records captured by one
-	// transaction (frame.Firings), appended between the transaction's
-	// record frames and its opCommit. Riding the same commit batch makes
-	// the firings exactly as durable as the transaction itself: a crash
-	// either preserves both or neither.
-	opFirings
-)
-
-// frame is one WAL record. Frames are length-prefixed independent gob
-// blobs, so a torn final frame is detected and discarded on recovery
-// and appending after reopen needs no encoder state.
-type frame struct {
-	Op      byte
-	TxID    uint64
-	OID     OID
-	Rec     *Record
-	Recs    []*Record      // opPutN only; absent (nil) in all other frames
-	Firings []FiringRecord // opFirings only; absent (nil) in all other frames
-}
-
 const (
 	walName      = "wal.log"
-	snapshotName = "snapshot.gob"
+	snapshotName = "snapshot.ckpt"
+	// legacySnapshotName is the checkpoint file of the earlier gob
+	// format. Open refuses a directory holding one (ErrFormat) rather
+	// than open it as empty.
+	legacySnapshotName = "snapshot.gob"
 )
 
 // walFile appends commit batches to the log with group commit: the
@@ -71,6 +44,10 @@ type walFile struct {
 	f      *os.File
 	direct bool            // disable batching: every commit writes and syncs itself
 	faults *fault.Registry // nil outside the simulation harness
+	// empty reports that the file holds no bytes yet, so the next write
+	// starts with walHeader. Only the writer of the moment (the leader,
+	// or a direct-mode committer under mu) and reset touch it.
+	empty bool
 
 	mu      sync.Mutex // guards queue, dones, leading, and direct-mode writes
 	queue   [][]byte
@@ -86,7 +63,12 @@ func openWAL(dir string, direct bool, faults *fault.Registry) (*walFile, error) 
 	if err != nil {
 		return nil, fmt.Errorf("store: open wal: %w", err)
 	}
-	return &walFile{f: f, direct: direct, faults: faults}, nil
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store: stat wal: %w", err)
+	}
+	return &walFile{f: f, direct: direct, faults: faults, empty: fi.Size() == 0}, nil
 }
 
 // commit appends one transaction's pre-encoded frames durably. In
@@ -143,6 +125,11 @@ func (w *walFile) commit(buf []byte) error {
 }
 
 func (w *walFile) writeSync(b []byte) error {
+	if w.empty {
+		// A new or reset log starts with its header, written with (and
+		// torn like) the first batch.
+		b = append([]byte(walHeader), b...)
+	}
 	if w.faults != nil {
 		// Torn batch write: persist only the first n bytes (synced, so
 		// a simulated crash+reopen deterministically finds the torn
@@ -150,6 +137,7 @@ func (w *walFile) writeSync(b []byte) error {
 		// batch. n < 0 means nothing reached the file at all.
 		if n, err := w.faults.CheckTear(fault.WALWrite, len(b)); err != nil {
 			if n > 0 {
+				w.empty = false
 				if _, werr := w.f.Write(b[:n]); werr != nil {
 					return fmt.Errorf("store: write wal: %w", werr)
 				}
@@ -160,6 +148,7 @@ func (w *walFile) writeSync(b []byte) error {
 			return fmt.Errorf("store: write wal: %w", err)
 		}
 	}
+	w.empty = false
 	if _, err := w.f.Write(b); err != nil {
 		return fmt.Errorf("store: write wal: %w", err)
 	}
@@ -190,6 +179,7 @@ func (w *walFile) reset() error {
 	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("store: truncate wal: %w", err)
 	}
+	w.empty = true
 	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("store: rewind wal: %w", err)
 	}
@@ -198,91 +188,104 @@ func (w *walFile) reset() error {
 
 func (w *walFile) close() error { return w.f.Close() }
 
-// encodeFrame appends one length-prefixed gob-encoded frame to buf.
-func encodeFrame(buf *bytes.Buffer, fr frame) error {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(&fr); err != nil {
-		return fmt.Errorf("store: encode wal frame: %w", err)
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(body.Len()))
-	buf.Write(hdr[:])
-	buf.Write(body.Bytes())
-	return nil
-}
-
-// ErrTornTail reports that the log ended in a torn or undecodable
-// trailing record — the expected residue of a crash mid-append.
-// readWAL still returns every intact frame before the tear; callers
-// decide whether to repair (truncate to the clean prefix) or refuse.
-var ErrTornTail = errors.New("store: torn wal tail")
-
-// ErrCorruptFrame reports a WAL frame that decoded but cannot be
-// applied. Recovery refuses to open the store rather than guess.
-var ErrCorruptFrame = errors.New("store: corrupt wal frame")
-
 // walScan summarizes one readWAL pass: the byte length of the clean
-// frame prefix and how many trailing bytes fall after it.
+// prefix (header and intact frames) and how many trailing bytes fall
+// after it.
 type walScan struct {
 	cleanLen  int64
 	tornBytes int64
 }
 
-// readWAL parses all complete frames. A torn trailing frame (crash
-// mid-append) or any undecodable tail is reported via an error
-// wrapping ErrTornTail — alongside the intact frames, never silently
-// dropped — so recovery can record and repair it.
+// readWAL checks the header, then verifies and decodes every frame. An
+// empty file is an empty log. A file that ends mid-frame, or mid-way
+// through the header, is reported via an error wrapping ErrTornTail —
+// alongside the intact frames, never silently dropped — so recovery
+// can record and repair it. A foreign header fails with ErrFormat, and
+// a complete frame that fails its checksum or does not decode fails
+// with ErrCorruptFrame; neither is a torn tail.
 func readWAL(dir string) ([]frame, walScan, error) {
-	var sc walScan
 	data, err := os.ReadFile(filepath.Join(dir, walName))
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, sc, nil
+		return nil, walScan{}, nil
 	}
 	if err != nil {
-		return nil, sc, fmt.Errorf("store: read wal: %w", err)
+		return nil, walScan{}, fmt.Errorf("store: read wal: %w", err)
 	}
+	return scanWAL(data)
+}
+
+// scanWAL is readWAL over the file's bytes.
+func scanWAL(data []byte) ([]frame, walScan, error) {
+	var sc walScan
 	total := int64(len(data))
 	var frames []frame
-	reason := ""
-	for len(data) > 0 {
-		if len(data) < 4 {
-			reason = fmt.Sprintf("%d-byte length-prefix fragment", len(data))
-			break
+	var torn error
+	switch {
+	case len(data) == 0:
+	case len(data) < len(walHeader) && string(data) == walHeader[:len(data)]:
+		torn = fmt.Errorf("%w: %d-byte header fragment", ErrTornTail, len(data))
+	case !bytes.HasPrefix(data, []byte(walHeader)):
+		return nil, sc, fmt.Errorf("%w: %s does not start with the wal header", ErrFormat, walName)
+	default:
+		data = data[len(walHeader):]
+		sc.cleanLen = int64(len(walHeader))
+		for len(data) > 0 {
+			payload, n, err := ReadFrame(data, math.MaxUint32)
+			if errors.Is(err, ErrTornTail) {
+				torn = err
+				break
+			}
+			if err == nil {
+				var f frame
+				if f, err = decodeFrame(payload); err == nil {
+					frames = append(frames, f)
+					data = data[n:]
+					sc.cleanLen += int64(n)
+					continue
+				}
+			}
+			return nil, sc, fmt.Errorf("store: wal frame %d at byte %d: %w", len(frames), sc.cleanLen, err)
 		}
-		n := binary.LittleEndian.Uint32(data[:4])
-		if len(data) < int(4+n) {
-			reason = fmt.Sprintf("frame promises %d body bytes, only %d present", n, len(data)-4)
-			break
-		}
-		var fr frame
-		if err := gob.NewDecoder(bytes.NewReader(data[4 : 4+n])).Decode(&fr); err != nil {
-			reason = fmt.Sprintf("undecodable frame body: %v", err)
-			break
-		}
-		frames = append(frames, fr)
-		data = data[4+n:]
-		sc.cleanLen += int64(4 + n)
 	}
 	sc.tornBytes = total - sc.cleanLen
-	if sc.tornBytes > 0 {
-		return frames, sc, fmt.Errorf("store: wal has %d trailing byte(s) after %d clean frame(s) (%s): %w",
-			sc.tornBytes, len(frames), reason, ErrTornTail)
+	if torn != nil {
+		return frames, sc, fmt.Errorf("store: wal has %d trailing byte(s) after %d clean frame(s): %w",
+			sc.tornBytes, len(frames), torn)
 	}
 	return frames, sc, nil
 }
 
-// snapshotImage is the gob payload of a checkpoint. Firings and
-// FiringSeq persist the egress feed across the WAL reset that follows
-// a checkpoint: the feed's records live in the WAL only until the next
+// snapshotImage is the content of a checkpoint. Firings and FiringSeq
+// persist the egress feed across the WAL reset that follows a
+// checkpoint: the feed's records live in the WAL only until the next
 // checkpoint folds them into the snapshot.
 type snapshotImage struct {
 	Next      OID
-	Objects   map[OID]*Record
+	Objects   []*Record
 	Firings   []FiringRecord
 	FiringSeq uint64
 }
 
-func writeSnapshot(dir string, next OID, objects map[OID]*Record, firings []FiringRecord, firingSeq uint64) error {
+// snapshotChunk is the number of records per checkpoint record frame.
+const snapshotChunk = 256
+
+// encodeSnapshot returns the checkpoint file image: the header, an
+// opCheckpoint frame, the records in OID order in frames of up to
+// snapshotChunk, then one opFirings frame with the whole feed.
+func encodeSnapshot(img snapshotImage) []byte {
+	slices.SortFunc(img.Objects, func(a, b *Record) int { return cmp.Compare(a.OID, b.OID) })
+	e := encoder{buf: []byte(snapshotHeader)}
+	e.frame(&frame{Op: opCheckpoint, OID: img.Next, Seq: img.FiringSeq, Count: uint64(len(img.Objects))})
+	for recs := img.Objects; len(recs) > 0; {
+		n := min(len(recs), snapshotChunk)
+		e.puts(0, recs[:n])
+		recs = recs[n:]
+	}
+	e.frame(&frame{Op: opFirings, Firings: img.Firings})
+	return e.buf
+}
+
+func writeSnapshot(dir string, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: create dir: %w", err)
 	}
@@ -291,10 +294,9 @@ func writeSnapshot(dir string, next OID, objects map[OID]*Record, firings []Firi
 		return fmt.Errorf("store: snapshot temp: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	img := snapshotImage{Next: next, Objects: objects, Firings: firings, FiringSeq: firingSeq}
-	if err := gob.NewEncoder(tmp).Encode(&img); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		return fmt.Errorf("store: encode snapshot: %w", err)
+		return fmt.Errorf("store: write snapshot: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -310,18 +312,49 @@ func writeSnapshot(dir string, next OID, objects map[OID]*Record, firings []Firi
 	return nil
 }
 
-func readSnapshot(dir string) (snapshotImage, error) {
-	var img snapshotImage
-	f, err := os.Open(filepath.Join(dir, snapshotName))
+// readSnapshot loads the checkpoint, reporting ok false when there is
+// none. The file is published whole by rename, so any flaw — a foreign
+// header (ErrFormat), a torn or corrupt frame, frames out of order, a
+// record count that disagrees with the header — fails with
+// ErrCorruptFrame rather than loading part of it.
+func readSnapshot(dir string) (img snapshotImage, ok bool, err error) {
+	data, err := os.ReadFile(filepath.Join(dir, snapshotName))
 	if errors.Is(err, os.ErrNotExist) {
-		return img, nil
+		if _, lerr := os.Stat(filepath.Join(dir, legacySnapshotName)); lerr == nil {
+			return img, false, fmt.Errorf("%w: %s is a checkpoint of the earlier gob format", ErrFormat, legacySnapshotName)
+		}
+		return img, false, nil
 	}
 	if err != nil {
-		return img, fmt.Errorf("store: open snapshot: %w", err)
+		return img, false, fmt.Errorf("store: read snapshot: %w", err)
 	}
-	defer f.Close()
-	if err := gob.NewDecoder(f).Decode(&img); err != nil {
-		return img, fmt.Errorf("store: decode snapshot: %w", err)
+	if !bytes.HasPrefix(data, []byte(snapshotHeader)) {
+		return img, false, fmt.Errorf("%w: %s does not start with the checkpoint header", ErrFormat, snapshotName)
 	}
-	return img, nil
+	data = data[len(snapshotHeader):]
+	var count uint64
+	for i := 0; len(data) > 0; i++ {
+		payload, n, err := ReadFrame(data, math.MaxUint32)
+		if err != nil {
+			return img, false, fmt.Errorf("store: snapshot frame %d: %w: %v", i, ErrCorruptFrame, err)
+		}
+		data = data[n:]
+		f, err := decodeFrame(payload)
+		if err != nil {
+			return img, false, fmt.Errorf("store: snapshot frame %d: %w", i, err)
+		}
+		switch {
+		case i == 0 && f.Op == opCheckpoint:
+			img.Next, img.FiringSeq, count = f.OID, f.Seq, f.Count
+			img.Objects = make([]*Record, 0, min(count, uint64(len(data))))
+		case i > 0 && (f.Op == opPut || f.Op == opPutN) && uint64(len(img.Objects)+len(f.Recs)) <= count:
+			img.Objects = append(img.Objects, f.Recs...)
+		case i > 0 && f.Op == opFirings && len(data) == 0 && uint64(len(img.Objects)) == count:
+			img.Firings = f.Firings
+			return img, true, nil
+		default:
+			return img, false, fmt.Errorf("%w: snapshot frame %d (op %d) out of place", ErrCorruptFrame, i, f.Op)
+		}
+	}
+	return img, false, fmt.Errorf("%w: snapshot ends before its firings frame", ErrCorruptFrame)
 }

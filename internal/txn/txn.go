@@ -367,7 +367,7 @@ func (tx *Tx) Commit() error {
 		return ErrNotActive
 	}
 	if err := tx.waitForDeps(); err != nil {
-		tx.rollback()
+		tx.rollback(nil)
 		return err
 	}
 	var dirty, deleted []store.OID
@@ -379,7 +379,7 @@ func (tx *Tx) Commit() error {
 		}
 	}
 	if err := tx.mgr.store.LogCommit(tx.id, dirty, deleted, tx.firings); err != nil {
-		tx.rollback()
+		tx.rollback(nil)
 		return fmt.Errorf("txn: commit logging failed: %w", err)
 	}
 	// Publish the committed versions to the store's lock-free epoch
@@ -410,15 +410,20 @@ func (tx *Tx) Commit() error {
 
 // Abort undoes every effect of the transaction and releases its locks.
 // Aborting a finished transaction is an error.
-func (tx *Tx) Abort() error {
+func (tx *Tx) Abort() error { return tx.AbortThen(nil) }
+
+// AbortThen is Abort that calls restored, when non-nil, after the
+// rollback and before the locks are released: restored sees the
+// rolled-back objects before another transaction can change them.
+func (tx *Tx) AbortThen(restored func()) error {
 	if tx.State() != Active {
 		return ErrNotActive
 	}
-	tx.rollback()
+	tx.rollback(restored)
 	return nil
 }
 
-func (tx *Tx) rollback() {
+func (tx *Tx) rollback(restored func()) {
 	// Promotion images first: a promoted object's full image captures
 	// its mid-transaction state (pre-action fields, post-step scalars);
 	// the narrow overlay replayed below then rewinds the scalars to
@@ -441,6 +446,9 @@ func (tx *Tx) rollback() {
 		}
 	}
 	tx.setState(Aborted)
+	if restored != nil {
+		restored()
+	}
 	tx.mgr.releaseAll(tx.id)
 	tx.mgr.broadcast()
 }

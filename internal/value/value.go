@@ -48,7 +48,8 @@ func (k Kind) String() string {
 }
 
 // Value is a dynamically typed database value. The zero Value is null.
-// Fields are exported for encoding/gob; treat values as immutable.
+// Treat values as immutable. The store's WAL codec (internal/store)
+// persists Kind and the one payload field that Kind uses.
 type Value struct {
 	Kind Kind
 	I    int64
